@@ -122,12 +122,27 @@ let adiv_exact a d =
 
 let equal_aff a b = a.const = b.const && Imap.equal ( = ) a.coef b.coef
 
+(* the exported view of an affine form *)
+type form = { f_terms : (int * int) list; f_const : int }
+
+let form_of_aff a = { f_terms = Imap.bindings a.coef; f_const = a.const }
+
 (* ------------------------------------------------------------------ *)
 (* analysis context                                                    *)
 (* ------------------------------------------------------------------ *)
 
 type status = Proved | Oob | Unknown
 type space = Global | Shared
+
+type sym_kind =
+  | Thread of int
+  | Block of int
+  | Trip of bool
+  | Quot of form * int
+  | Rem of form * int
+
+type sym = { sy_kind : sym_kind; sy_range : itv }
+type cond = Holds of form | Fails of form list
 
 type access = {
   acc_array : string;
@@ -137,7 +152,9 @@ type access = {
   acc_status : status;
   acc_range : itv;
   acc_extent : int;
-  acc_tx_stride : int option;
+  acc_form : form option;
+  acc_guards : cond list;
+  acc_interval : int;
   acc_bytes : float;
   acc_exact : bool;
 }
@@ -163,9 +180,10 @@ type result = {
   res_est_bytes : float;
   res_est_exact : bool;
   res_footprints : (string * footprint) list;
+  res_syms : sym array;
 }
 
-type sym_info = { rng : itv; s_uni : bool }
+type sym_info = { rng : itv; s_uni : bool; kind : sym_kind }
 
 type ctx = {
   syms : (int, sym_info) Hashtbl.t;
@@ -180,6 +198,13 @@ type ctx = {
   mutable cloc : Loc.pos;
   simplify : bool;
   threads : float;
+  divmods : ((int * int) list * int * int * bool, int) Hashtbl.t;
+      (* (form terms, form const, divisor, is_div) -> derived symbol *)
+  mutable conds : cond list;  (* enclosing guard constraints *)
+  mutable seg : int;  (* current barrier segment (raw id) *)
+  mutable next_seg : int;
+  seg_parent : (int, int) Hashtbl.t;  (* union-find over segments *)
+  seg_hits : (int, int) Hashtbl.t;  (* accesses recorded per raw segment *)
 }
 
 let sym_tx = 0
@@ -195,7 +220,7 @@ let fresh_sym ctx info =
 let sym_info ctx s =
   match Hashtbl.find_opt ctx.syms s with
   | Some i -> i
-  | None -> { rng = itop; s_uni = false }
+  | None -> { rng = itop; s_uni = false; kind = Trip false }
 
 (* ------------------------------------------------------------------ *)
 (* abstract values: reduced product                                    *)
@@ -239,6 +264,27 @@ let covers ctx a =
            in
            go 1 sorted
          end
+
+(* c = w*(c/w) + c%w for every integer c, so a linearized tile subscript
+   k*w*q + k*r over the quotient and remainder symbols of one [c] folds
+   back into k*c: the cooperative load [s[c / w][c % w]] becomes affine
+   in the loop counter again *)
+let aff_of_form f =
+  { coef = List.fold_left (fun m (s, c) -> Imap.add s c m) Imap.empty f.f_terms; const = f.f_const }
+
+let fold_divmod ctx a =
+  Imap.fold
+    (fun s k acc ->
+      match (sym_info ctx s).kind with
+      | Rem (c, w) -> (
+          match Hashtbl.find_opt ctx.divmods (c.f_terms, c.f_const, w, true) with
+          | Some q
+            when Imap.find_opt s acc.coef = Some k && Imap.find_opt q acc.coef = Some (k * w) ->
+              let parts = aadd (ascale k (asym s)) (ascale (k * w) (asym q)) in
+              aadd (asub acc parts) (ascale k (aff_of_form c))
+          | _ -> acc)
+      | _ -> acc)
+    a.coef a
 
 let mk ctx aff itv =
   match aff with
@@ -364,14 +410,16 @@ and eval_binop st env ~w op a b =
         else None
       in
       mk ctx aff (imul x.itv y.itv)
-  | Div ->
+  | Div -> (
       let aff =
         if is_const y.itv && y.itv.lo > 0 then
           Option.bind x.aff (fun p -> adiv_exact p y.itv.lo)
         else None
       in
-      mk ctx aff (idiv x.itv y.itv)
-  | Mod -> mk ctx None (imod x.itv y.itv)
+      match aff with
+      | None -> divmod ctx ~div:true x y (idiv x.itv y.itv)
+      | Some _ -> mk ctx aff (idiv x.itv y.itv))
+  | Mod -> divmod ctx ~div:false x y (imod x.itv y.itv)
   | (Lt | Le | Gt | Ge | Eq | Ne) as op -> (
       match cmp_val op (isub x.itv y.itv) with
       | Some true -> const_val 1
@@ -384,6 +432,102 @@ and eval_binop st env ~w op a b =
   | Or ->
       let t v = v.itv.lo > 0 || v.itv.hi < 0 and f v = v.itv.lo = 0 && v.itv.hi = 0 in
       if t x || t y then const_val 1 else if f x && f y then const_val 0 else bool_itv 0 1
+
+(* [c / w] or [c % w] of a nonnegative affine [c] by a constant [w].
+   When c = lo + w*hi with lo always in [0, w), the quotient is [hi] and
+   the remainder [lo], exactly.  Otherwise it is a derived symbol,
+   memoized on (c, w) so that both subscripts of one cooperative tile
+   load name the same quotient and remainder (see [fold_divmod]); its
+   range is the join over every evaluation.  Guard elimination keeps the
+   plain interval, so its decisions do not move. *)
+and divmod ctx ~div x y itv =
+  match x.aff with
+  | Some c
+    when (not ctx.simplify) && is_const y.itv && y.itv.lo > 0 && x.itv.lo >= 0
+         && not (is_const itv) -> (
+      let w = y.itv.lo in
+      let hi_terms, lo_terms = Imap.partition (fun _ k -> k mod w = 0) c.coef in
+      let lo = { coef = lo_terms; const = ((c.const mod w) + w) mod w } in
+      let hi = { coef = Imap.map (fun k -> k / w) hi_terms; const = (c.const - lo.const) / w } in
+      let r = range_of_aff ctx lo in
+      if r.lo >= 0 && r.hi < w then mk ctx (Some (if div then hi else lo)) itv
+      else begin
+        let f = form_of_aff c in
+        let key = (f.f_terms, f.f_const, w, div) in
+        let s =
+          match Hashtbl.find_opt ctx.divmods key with
+          | Some s ->
+              let info = sym_info ctx s in
+              Hashtbl.replace ctx.syms s { info with rng = ijoin info.rng itv };
+              s
+          | None ->
+              let s =
+                fresh_sym ctx
+                  { rng = itv; s_uni = false; kind = (if div then Quot (f, w) else Rem (f, w)) }
+              in
+              Hashtbl.replace ctx.divmods key s;
+              s
+        in
+        mk ctx (Some (asym s)) itv
+      end)
+  | _ -> mk ctx None itv
+
+(* Guard constraints of a condition as affine facts [f >= 0], for the
+   race proof (none in guard elimination).  [cond_atoms] is the
+   conjunction of comparisons when every one is affine; [holds] is what
+   the then-branch may assume, [fails] the else-branch.  Atoms outside
+   the affine fragment are dropped, which only weakens a guard. *)
+and cond_atoms st env c : aff list option =
+  let w1 = { trips = 1.0; frac = 1.0; w_exact = false } in
+  match c with
+  | Binop (And, a, b) -> (
+      match (cond_atoms st env a, cond_atoms st env b) with
+      | Some x, Some y -> Some (x @ y)
+      | _ -> None)
+  | Binop (((Lt | Le | Gt | Ge | Eq) as op), a, b) -> (
+      match ((eval st env ~w:w1 a).aff, (eval st env ~w:w1 b).aff) with
+      | Some p, Some q ->
+          let d = asub p q and one = aconst 1 in
+          Some
+            (match op with
+            | Lt -> [ asub (aneg d) one ]
+            | Le -> [ aneg d ]
+            | Gt -> [ asub d one ]
+            | Ge -> [ d ]
+            | _ -> [ d; aneg d ])
+      | _ -> None)
+  | _ -> None
+
+and holds st env c = guard_facts st (fun () -> holds_on st env c)
+and fails st env c = guard_facts st (fun () -> fails_on st env c)
+
+and guard_facts st f =
+  let ctx = st.c in
+  if ctx.simplify then []
+  else begin
+    let saved = ctx.record in
+    ctx.record <- false;
+    let r = f () in
+    ctx.record <- saved;
+    r
+  end
+
+and holds_on st env c : cond list =
+  match c with
+  | Binop (And, a, b) -> holds_on st env a @ holds_on st env b
+  | Unop (Not, a) -> fails_on st env a
+  | _ -> (
+      match cond_atoms st env c with
+      | Some fs -> List.map (fun f -> Holds (form_of_aff f)) fs
+      | None -> [])
+
+and fails_on st env c : cond list =
+  match c with
+  | Unop (Not, a) -> holds_on st env a
+  | _ -> (
+      match cond_atoms st env c with
+      | Some fs -> [ Fails (List.map form_of_aff fs) ]
+      | None -> [])
 
 (* Three-valued truth of a condition; never records accesses. *)
 and decide st env c : bool option =
@@ -504,7 +648,7 @@ and record_access st ~w ~write a (vals : aval list) =
       if List.length dims <> List.length vals then
         push_access ctx ~a ~space:Shared ~write ~status:Unknown ~range:itop
           ~extent:(List.fold_left ( * ) 1 dims)
-          ~stride:None ~bytes:0.0 ~exact:false
+          ~form:None ~bytes:0.0 ~exact:false
       else begin
         let statuses =
           List.map2
@@ -532,14 +676,9 @@ and record_access st ~w ~write a (vals : aval list) =
               mk ctx aff scaled_itv)
             (const_val 0) dims vals
         in
-        let stride =
-          Option.map
-            (fun p -> match Imap.find_opt sym_tx p.coef with Some c -> c | None -> 0)
-            lin.aff
-        in
         push_access ctx ~a ~space:Shared ~write ~status ~range:lin.itv
           ~extent:(List.fold_left ( * ) 1 dims)
-          ~stride ~bytes:0.0 ~exact:false
+          ~form:lin.aff ~bytes:0.0 ~exact:false
       end
   | None -> (
       match (List.assoc_opt a ctx.global_cells, vals) with
@@ -549,25 +688,22 @@ and record_access st ~w ~write a (vals : aval list) =
             else if v.itv.hi < 0 || v.itv.lo >= cells then Oob
             else Unknown
           in
-          let stride =
-            Option.map
-              (fun p -> match Imap.find_opt sym_tx p.coef with Some c -> c | None -> 0)
-              v.aff
-          in
           let bytes = 8.0 *. ctx.threads *. w.frac *. w.trips in
           push_access ctx ~a ~space:Global ~write ~status ~range:v.itv ~extent:cells
-            ~stride ~bytes ~exact:w.w_exact
+            ~form:v.aff ~bytes ~exact:w.w_exact
       | Some cells, _ ->
           (* global arrays are linearized in the subset: anything else
              is outside the domain *)
           push_access ctx ~a ~space:Global ~write ~status:Unknown ~range:itop
-            ~extent:cells ~stride:None ~bytes:0.0 ~exact:false
+            ~extent:cells ~form:None ~bytes:0.0 ~exact:false
       | None, _ ->
           (* unknown array (not a parameter of this launch): imprecise *)
           push_access ctx ~a ~space:Global ~write ~status:Unknown ~range:itop ~extent:0
-            ~stride:None ~bytes:0.0 ~exact:false)
+            ~form:None ~bytes:0.0 ~exact:false)
 
-and push_access ctx ~a ~space ~write ~status ~range ~extent ~stride ~bytes ~exact =
+and push_access ctx ~a ~space ~write ~status ~range ~extent ~form ~bytes ~exact =
+  let hits = Option.value (Hashtbl.find_opt ctx.seg_hits ctx.seg) ~default:0 in
+  Hashtbl.replace ctx.seg_hits ctx.seg (hits + 1);
   ctx.accesses <-
     {
       acc_array = a;
@@ -577,7 +713,9 @@ and push_access ctx ~a ~space ~write ~status ~range ~extent ~stride ~bytes ~exac
       acc_status = status;
       acc_range = range;
       acc_extent = extent;
-      acc_tx_stride = stride;
+      acc_form = Option.map (fun f -> form_of_aff (fold_divmod ctx f)) form;
+      acc_guards = ctx.conds;
+      acc_interval = ctx.seg;
       acc_bytes = bytes;
       acc_exact = exact;
     }
@@ -613,6 +751,32 @@ let thread_dep env c =
       | _ -> false)
     false c
 
+(* Barrier segments: a [__syncthreads()] opens a fresh segment; control
+   merges and barrier loops union the segments that one dynamic barrier
+   interval can span (both arms' ends; a loop's tail with its head). *)
+let rec seg_find ctx s =
+  match Hashtbl.find_opt ctx.seg_parent s with
+  | Some p when p <> s ->
+      let r = seg_find ctx p in
+      Hashtbl.replace ctx.seg_parent s r;
+      r
+  | _ -> s
+
+let seg_union ctx a b =
+  let a = seg_find ctx a and b = seg_find ctx b in
+  if a <> b then Hashtbl.replace ctx.seg_parent (max a b) (min a b)
+
+let seg_hits ctx s =
+  let r = seg_find ctx s in
+  Hashtbl.fold (fun s' n acc -> if seg_find ctx s' = r then acc + n else acc) ctx.seg_hits 0
+
+let with_conds ctx extra f =
+  let saved = ctx.conds in
+  ctx.conds <- extra @ saved;
+  let r = f () in
+  ctx.conds <- saved;
+  r
+
 let rec exec st env ~w stmts : env * stmt list =
   let ctx = st.c in
   let env, rev =
@@ -643,7 +807,10 @@ and exec_stmt st env ~w s : env * stmt list =
       let vals = List.map (eval st env ~w) idxs in
       if ctx.record then record_access st ~w ~write:true a vals;
       (env, [ s ])
-  | Syncthreads -> (env, [ s ])
+  | Syncthreads ->
+      ctx.seg <- ctx.next_seg;
+      ctx.next_seg <- ctx.next_seg + 1;
+      (env, [ s ])
   | Return ->
       ctx.returns <- true;
       (env, [ s ])
@@ -656,6 +823,7 @@ and exec_if st env ~w s c t e =
   (* accesses inside the condition itself (rare) are recorded once *)
   if ctx.record then ignore (eval st env ~w c);
   let tdep = thread_dep env c in
+  let s0 = ctx.seg in
   let push_guard frac =
     ctx.guards <-
       {
@@ -693,18 +861,26 @@ and exec_if st env ~w s c t e =
         | None -> (env, t, false) (* then-branch unreachable *)
         | Some (env_c, _, _) ->
             let env1, t' =
-              exec st env_c ~w:{ w with frac = w.frac *. frac_t; w_exact = w.w_exact && exact_t } t
+              with_conds ctx (holds st env c) (fun () ->
+                  exec st env_c
+                    ~w:{ w with frac = w.frac *. frac_t; w_exact = w.w_exact && exact_t }
+                    t)
             in
             (env1, t', true)
       in
+      let s_t = ctx.seg in
+      ctx.seg <- s0;
       let frac_e = Float.max 0.0 (1.0 -. frac_t) in
       let env_e, e' =
         if e = [] then (env, [])
         else
-          exec st env
-            ~w:{ w with frac = w.frac *. frac_e; w_exact = w.w_exact && exact_t }
-            e
+          with_conds ctx (fails st env c) (fun () ->
+              exec st env
+                ~w:{ w with frac = w.frac *. frac_e; w_exact = w.w_exact && exact_t }
+                e)
       in
+      seg_union ctx s_t ctx.seg;
+      ctx.seg <- s_t;
       let env' = if feasible_t then join_env st.c env_t env_e else env_e in
       (env', if st.c.simplify then [ If (c, t', e') ] else [ s ])
 
@@ -721,20 +897,58 @@ and exec_for st env ~w s (l : for_loop) =
         (float_of_int (max 1 ((hiv.itv.hi - lov.itv.lo + step - 1) / step)), false)
     in
     let iv_rng = { lo = lov.itv.lo; hi = sat_add hiv.itv.hi (-1) } in
-    let sym = fresh_sym ctx { rng = iv_rng; s_uni = step = 1 } in
+    (* the induction variable is lo + step*m over a fresh trip counter m;
+       guard elimination keeps the plain interval symbol.  A body that
+       rebinds the index or a variable of the bound leaves no affine
+       form (the interval stays as it was) *)
+    let mutated = assigned_scalars l.body in
+    let steady =
+      (not (List.mem l.index mutated))
+      && not (fold_expr (fun acc e -> acc || match e with Var v -> List.mem v mutated | _ -> false) false l.hi)
+    in
+    let sym, iv =
+      match lov.aff with
+      | Some lo when not ctx.simplify ->
+          let tmax = max 1 ((sat_add hiv.itv.hi (-lov.itv.lo) + step - 1) / step) in
+          let m =
+            fresh_sym ctx { rng = { lo = 0; hi = tmax - 1 }; s_uni = step = 1; kind = Trip false }
+          in
+          (m, aadd lo (ascale step (asym m)))
+      | _ ->
+          let m = fresh_sym ctx { rng = iv_rng; s_uni = step = 1; kind = Trip false } in
+          (m, asym m)
+    in
+    let bound =
+      match hiv.aff with
+      | Some hi when steady && not ctx.simplify ->
+          [ Holds (form_of_aff (asub (asub hi (aconst 1)) iv)) ]
+      | _ -> []
+    in
     let saved_iv = Senv.find_opt l.index env in
     (* scalars mutated in the body may carry any value at body entry *)
     let env0 =
       List.fold_left
         (fun e v -> if Senv.mem v e then Senv.add v top_val e else e)
-        env (assigned_scalars l.body)
+        env mutated
     in
-    let env0 = Senv.add l.index (mk ctx (Some (asym sym)) iv_rng) env0 in
+    let iv = if steady || ctx.simplify then Some iv else None in
+    let env0 = Senv.add l.index { aff = iv; itv = iv_rng; uni = step = 1 } env0 in
+    let s_entry = ctx.seg in
     let env1, body' =
-      exec st env0
-        ~w:{ trips = w.trips *. trips; frac = w.frac; w_exact = w.w_exact && texact }
-        l.body
+      with_conds ctx bound (fun () ->
+          exec st env0
+            ~w:{ trips = w.trips *. trips; frac = w.frac; w_exact = w.w_exact && texact }
+            l.body)
     in
+    let s_tail = ctx.seg in
+    if seg_find ctx s_tail <> seg_find ctx s_entry then begin
+      (* a barrier loop: one dynamic interval spans the tail of iteration
+         m and the head of iteration m+1.  When the tail touches nothing,
+         every interval sees a single iteration and m is fixed in it *)
+      if seg_hits ctx s_tail = 0 then
+        Hashtbl.replace ctx.syms sym { (sym_info ctx sym) with kind = Trip true };
+      seg_union ctx s_tail s_entry
+    end;
     let out = join_env st.c env env1 in
     let out =
       match saved_iv with
@@ -764,10 +978,22 @@ let run ~simplify ~block ~grid ~int_params ~global_cells (k : kernel) =
       cloc = Loc.none;
       simplify;
       threads = float_of_int (bx * by * bz) *. float_of_int (gx * gy * gz);
+      divmods = Hashtbl.create 8;
+      conds = [];
+      seg = 0;
+      next_seg = 1;
+      seg_parent = Hashtbl.create 8;
+      seg_hits = Hashtbl.create 8;
     }
   in
   List.iteri
-    (fun i extent -> Hashtbl.replace ctx.syms i { rng = { lo = 0; hi = extent - 1 }; s_uni = true })
+    (fun i extent ->
+      Hashtbl.replace ctx.syms i
+        {
+          rng = { lo = 0; hi = extent - 1 };
+          s_uni = true;
+          kind = (if i < 3 then Thread i else Block (i - 3));
+        })
     [ bx; by; bz; gx; gy; gz ];
   (* shared declarations are in scope for the whole kernel *)
   fold_stmts
@@ -782,7 +1008,9 @@ let run ~simplify ~block ~grid ~int_params ~global_cells (k : kernel) =
   (ctx, body')
 
 let result_of (ctx : ctx) k_name =
-  let accesses = List.rev ctx.accesses in
+  let accesses =
+    List.rev_map (fun a -> { a with acc_interval = seg_find ctx a.acc_interval }) ctx.accesses
+  in
   let count st = List.length (List.filter (fun a -> a.acc_status = st) accesses) in
   let globals = List.filter (fun a -> a.acc_space = Global) accesses in
   let est_bytes = List.fold_left (fun s a -> s +. a.acc_bytes) 0.0 globals in
@@ -820,7 +1048,31 @@ let result_of (ctx : ctx) k_name =
     res_est_bytes = est_bytes;
     res_est_exact = est_exact;
     res_footprints = footprints;
+    res_syms =
+      Array.init ctx.next_sym (fun s ->
+          let i = sym_info ctx s in
+          { sy_kind = i.kind; sy_range = i.rng });
   }
+
+let form_range syms f =
+  List.fold_left
+    (fun acc (s, c) ->
+      let r = if s < Array.length syms then syms.(s).sy_range else itop in
+      iadd acc (imul (iconst c) r))
+    (iconst f.f_const) f.f_terms
+
+let tx_stride syms a =
+  match a.acc_form with
+  | None -> None
+  | Some f ->
+      if
+        List.exists
+          (fun (s, _) ->
+            s < Array.length syms
+            && match syms.(s).sy_kind with Quot _ | Rem _ -> true | _ -> false)
+          f.f_terms
+      then None
+      else Some (Option.value (List.assoc_opt sym_tx f.f_terms) ~default:0)
 
 let analyze_kernel ~block ~grid ~int_params ~global_cells k =
   let ctx, _ = run ~simplify:false ~block ~grid ~int_params ~global_cells k in

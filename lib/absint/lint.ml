@@ -43,7 +43,7 @@ let normalize fs = List.sort_uniq compare_findings fs
 (* rules                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let access_findings pname kernel (a : Absint.access) =
+let access_findings pname kernel syms (a : Absint.access) =
   let mk rule severity message =
     {
       f_program = pname;
@@ -79,7 +79,7 @@ let access_findings pname kernel (a : Absint.access) =
         ]
   in
   let pattern =
-    match (a.acc_space, a.acc_tx_stride) with
+    match (a.acc_space, Absint.tx_stride syms a) with
     | Absint.Global, Some s when abs s > 1 ->
         [
           mk "uncoalesced" Warn
@@ -175,7 +175,7 @@ let program ?(measured = []) (p : program) =
         | None -> []
         | Some r ->
             let k = r.Absint.res_kernel in
-            List.concat_map (access_findings p.p_name k) r.Absint.res_accesses
+            List.concat_map (access_findings p.p_name k r.Absint.res_syms) r.Absint.res_accesses
             @ List.concat_map (guard_findings p.p_name k) r.Absint.res_guards
             @ footprint_findings p.p_name k ~launch_count:(launch_count k)
                 ~measured:(List.assoc_opt k measured) r)

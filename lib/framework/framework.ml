@@ -566,6 +566,8 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         Trace.add trace "launches_checked" vr.Verify.stats.launches_checked;
         Trace.add trace "bounds_proved" vr.Verify.stats.bounds_proved;
         Trace.add trace "bounds_fallback" vr.Verify.stats.bounds_fallback;
+        Trace.add trace "race_proved" vr.Verify.stats.race_proved;
+        Trace.add trace "race_fallback" vr.Verify.stats.race_fallback;
         Trace.add trace "sched_deps_checked" vr.Verify.stats.sched_deps_checked;
         Trace.add trace "sched_fallback" vr.Verify.stats.sched_fallback;
         vr)
@@ -840,6 +842,11 @@ let stage_report r =
        (if v.complete then "" else " (budget exhausted: report incomplete)");
      p "  bounds: %d launches proved by absint, %d on sampled fallback"
        v.stats.bounds_proved v.stats.bounds_fallback;
+     p "  races: %d launches proved over the whole grid, %d on sampled fallback%s"
+       v.stats.race_proved v.stats.race_fallback
+       (match v.race_fallbacks with
+       | [] -> ""
+       | fs -> " (" ^ String.concat ", " (List.map (fun (k, a) -> k ^ ":" ^ a) fs) ^ ")");
      if v.stats.sched_deps_checked > 0 || v.stats.sched_fallback > 0 then
        p "  schedule: %d source dependences checked end-to-end, %d launches unplaced"
          v.stats.sched_deps_checked v.stats.sched_fallback;

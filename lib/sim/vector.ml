@@ -986,6 +986,16 @@ let try_run ?engine mem prog (l : launch) =
   | None -> None
   | Some prep ->
       let kernel = prep.p_kernel in
+      (* the memo outlives this run's memory: rebinding the placeholders
+         afterwards keeps it from pinning every arena it has run on *)
+      let release () =
+        List.iter
+          (fun (p, a) ->
+            match a with
+            | Arg_array _ -> Hashtbl.replace prep.p_table p (S.Global Memory.empty_buf)
+            | Arg_int _ | Arg_double _ -> ())
+          prep.p_bound
+      in
       let sizes_declared = ref true in
       List.iter
         (fun (p, a) ->
@@ -998,6 +1008,7 @@ let try_run ?engine mem prog (l : launch) =
                   | decl -> if A1.dim data <> array_cells decl then sizes_declared := false
                   | exception Not_found -> sizes_declared := false)
               | exception Memory.Unknown_array name ->
+                  release ();
                   raise
                     (S.Sim_error
                        { kernel = kernel.k_name; message = "unknown device array " ^ name }))
@@ -1087,9 +1098,10 @@ let try_run ?engine mem prog (l : launch) =
         List.init nchunks (fun c -> (c * blocks / nchunks, ((c + 1) * blocks / nchunks) - 1))
       in
       let usages =
-        match engine with
-        | Some e when nchunks > 1 -> Engine.map e run_chunk ranges
-        | _ -> List.map run_chunk ranges
+        Fun.protect ~finally:release (fun () ->
+            match engine with
+            | Some e when nchunks > 1 -> Engine.map e run_chunk ranges
+            | _ -> List.map run_chunk ranges)
       in
       (* deterministic merge: block-index order, independent of chunking *)
       let stats = S.zero_stats ~shared_bytes_per_block:0 ~blocks_launched:blocks in

@@ -7,6 +7,7 @@ module Fusion = Kft_codegen.Fusion
 module Canonical = Kft_codegen.Canonical
 module Codegen = Kft_codegen.Codegen
 module Schedflow = Kft_schedflow.Schedflow
+module A = Kft_absint.Absint
 
 type pass = Race | Barrier | Bounds | Translation | Schedule | Engine
 
@@ -39,11 +40,18 @@ type stats = {
   events : int;
   bounds_proved : int;  (* launches whose every access absint proved in bounds *)
   bounds_fallback : int;  (* launches that needed the sampled bounds walk *)
+  race_proved : int;  (* launches whose every array the affine race proof covers *)
+  race_fallback : int;  (* launches handed to the sampled race walk *)
   sched_deps_checked : int;  (* source schedule dependences checked end-to-end *)
   sched_fallback : int;  (* source launches the member mapping could not place *)
 }
 
-type report = { diagnostics : diagnostic list; stats : stats; complete : bool }
+type report = {
+  diagnostics : diagnostic list;
+  stats : stats;
+  complete : bool;
+  race_fallbacks : (string * string) list;  (* (kernel, array) the proof left to the walker *)
+}
 
 let empty_stats =
   {
@@ -53,10 +61,12 @@ let empty_stats =
     events = 0;
     bounds_proved = 0;
     bounds_fallback = 0;
+    race_proved = 0;
+    race_fallback = 0;
     sched_deps_checked = 0;
     sched_fallback = 0;
   }
-let empty_report = { diagnostics = []; stats = empty_stats; complete = true }
+let empty_report = { diagnostics = []; stats = empty_stats; complete = true; race_fallbacks = [] }
 
 (* per-pass finding counts in a fixed pass order (trace counters and the
    @trace sweep consume this; the fixed order keeps it byte-stable) *)
@@ -105,10 +115,13 @@ let merge a b =
         events = a.stats.events + b.stats.events;
         bounds_proved = a.stats.bounds_proved + b.stats.bounds_proved;
         bounds_fallback = a.stats.bounds_fallback + b.stats.bounds_fallback;
+        race_proved = a.stats.race_proved + b.stats.race_proved;
+        race_fallback = a.stats.race_fallback + b.stats.race_fallback;
         sched_deps_checked = a.stats.sched_deps_checked + b.stats.sched_deps_checked;
         sched_fallback = a.stats.sched_fallback + b.stats.sched_fallback;
       };
     complete = a.complete && b.complete;
+    race_fallbacks = List.sort_uniq compare (a.race_fallbacks @ b.race_fallbacks);
   }
 
 let is_clean r = r.diagnostics = []
@@ -118,19 +131,36 @@ let default_budget = 10_000_000
 (* Diagnostic collection                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* One-line statement rendering is quoted in diagnostics and in the
+   access bookkeeping; the walker may reach the same physical statement
+   millions of times, so the rendering is memoized on physical identity
+   (same bucket/equality discipline as [Loc.Tbl]).  The table lives in
+   the collector, so it dies with the report's verification run instead
+   of pinning every AST verified in the process. *)
+module Stmt_memo = Hashtbl.Make (struct
+  type t = stmt
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 type collector = {
   seen : (string, unit) Hashtbl.t;
   mutable out : diagnostic list;  (* reversed *)
   mutable events : int;
-  budget : int;
+  budget : int;  (* walker events per launch *)
   mutable complete : bool;
   mutable launches : int;
   mutable blocks : int;
   mutable threads : int;
   mutable bproved : int;
   mutable bfallback : int;
+  mutable rproved : int;
+  mutable rfallback : int;
   mutable sdeps : int;
   mutable sfallback : int;
+  mutable unproved : (string * string) list;
+  memo : string Stmt_memo.t;
 }
 
 let new_collector budget =
@@ -145,25 +175,16 @@ let new_collector budget =
     threads = 0;
     bproved = 0;
     bfallback = 0;
+    rproved = 0;
+    rfallback = 0;
     sdeps = 0;
     sfallback = 0;
+    unproved = [];
+    memo = Stmt_memo.create 64;
   }
 
-(* One-line statement rendering is quoted in diagnostics and in the
-   access bookkeeping; the walker may reach the same physical statement
-   millions of times, so the rendering is memoized on physical identity
-   (same bucket/equality discipline as [Loc.Tbl]). *)
-module Stmt_memo = Hashtbl.Make (struct
-  type t = stmt
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let stmt_memo : string Stmt_memo.t = Stmt_memo.create 512
-
-let stmt_line s =
-  match Stmt_memo.find_opt stmt_memo s with
+let stmt_line col s =
+  match Stmt_memo.find_opt col.memo s with
   | Some text -> text
   | None ->
       let text = Pp.stmt ~indent:0 s in
@@ -172,7 +193,7 @@ let stmt_line s =
       in
       let text = String.trim text in
       let text = if String.length text > 72 then String.sub text 0 69 ^ "..." else text in
-      Stmt_memo.replace stmt_memo s text;
+      Stmt_memo.replace col.memo s text;
       text
 
 let emit col ~pass ~kernel ~loc ~stmt ?(array = "") ~key fmt =
@@ -209,10 +230,13 @@ let report_of col =
         events = col.events;
         bounds_proved = col.bproved;
         bounds_fallback = col.bfallback;
+        race_proved = col.rproved;
+        race_fallback = col.rfallback;
         sched_deps_checked = col.sdeps;
         sched_fallback = col.sfallback;
       };
     complete = col.complete;
+    race_fallbacks = List.sort_uniq compare col.unproved;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -265,12 +289,12 @@ let barrier_pass col kname body =
             if div && not under then begin
               if contains_barrier t || contains_barrier e then begin
                 divergent := true;
-                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line s) ~key:"div-if"
+                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line col s) ~key:"div-if"
                   "__syncthreads() under thread-dependent conditional"
               end;
               if has_barrier && (contains_return t || contains_return e) then begin
                 divergent := true;
-                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line s) ~key:"div-return"
+                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line col s) ~key:"div-return"
                   "thread-dependent early return in a kernel that uses __syncthreads()"
               end
             end;
@@ -287,7 +311,7 @@ let barrier_pass col kname body =
             let div = tainted_expr tainted l.lo || tainted_expr tainted l.hi in
             if div && (not under) && contains_barrier l.body then begin
               divergent := true;
-              emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line s) ~key:"div-for"
+              emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line col s) ~key:"div-for"
                 "__syncthreads() inside loop with thread-dependent trip count"
             end;
             let inner = if div then Sset.add l.index tainted else tainted in
@@ -299,8 +323,11 @@ let barrier_pass col kname body =
   !divergent
 
 (* ------------------------------------------------------------------ *)
-(* Passes 1 & 3: per-thread concrete walker                            *)
+(* Passes 1 & 3 fallback: per-thread concrete walker                   *)
 (* ------------------------------------------------------------------ *)
+
+(* Replays every thread of a sample of blocks for launches whose races
+   or bounds the proofs leave open. *)
 
 exception Returned
 exception Budget
@@ -313,6 +340,7 @@ type sentry = { mutable sw : sacc list; mutable sr : sacc list }
 type gacc = {
   g_bid : int;
   g_tid : int;
+  g_rid : int;  (* thread id over the thread axes the kernel reads *)
   g_iv : int;
   g_loc : Loc.pos;
   g_stmt : string;
@@ -335,6 +363,8 @@ type ctx = {
   check_bounds : bool;
       (* false when kft_absint proved every access of this launch in
          bounds: the sampled walk then only feeds race analysis *)
+  check_races : bool;  (* false when the affine race proof covered the launch *)
+  limit : int;  (* [col.events] past which this launch's walk stops *)
 }
 
 type tstate = {
@@ -343,6 +373,10 @@ type tstate = {
   mutable cloc : Loc.pos;
   mutable cstmt : stmt option;
   tid : int;
+  rid : int;
+      (* [tid] with the thread axes the kernel never reads zeroed: threads
+         equal in it are replicas running the same statements on the
+         same cells *)
   bid : int;
   thread : int * int * int;
   block_idx : int * int * int;
@@ -350,7 +384,7 @@ type tstate = {
 
 (* Rendered lazily: most accesses never surface in a diagnostic, so the
    string is only built when emitting or remembering an access. *)
-let stmt_of st = match st.cstmt with Some s -> stmt_line s | None -> ""
+let stmt_of ctx st = match st.cstmt with Some s -> stmt_line ctx.col s | None -> ""
 
 let same_site a b = match (a, b) with Some x, Some y -> x == y | _ -> false
 
@@ -457,7 +491,7 @@ and record_access ctx st ~write a idxs =
       else begin
         let vals = List.map (eval ctx st) idxs in
         if List.exists (fun v -> v = None) vals then
-          emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc ~stmt:(stmt_of st)
+          emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
             ~key:("ssub|" ^ a)
             "subscript of shared %s is not statically evaluable; race/bounds analysis is incomplete for it"
             a
@@ -469,14 +503,14 @@ and record_access ctx st ~write a idxs =
               if v < 0 || v >= d then begin
                 in_bounds := false;
                 if ctx.check_bounds then
-                  emit ctx.col ~pass:Bounds ~kernel:ctx.kname ~loc ~stmt:(stmt_of st)
+                  emit ctx.col ~pass:Bounds ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
                     ~key:(Printf.sprintf "sb|%s|%d" a i)
                     "subscript %d of shared %s out of range: %d not in [0,%d)" i a v d
               end)
             (List.combine ivals dims);
           if !in_bounds then
             let lin = List.fold_left2 (fun acc v d -> (acc * d) + v) 0 ivals dims in
-            shared_conflicts ctx st ~write ~loc a idxs lin
+            if ctx.check_races then shared_conflicts ctx st ~write ~loc a idxs lin
         end
       end
   | None -> (
@@ -487,7 +521,7 @@ and record_access ctx st ~write a idxs =
           | [ idx ] -> (
               match eval ctx st idx with
               | None ->
-                  emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc ~stmt:(stmt_of st)
+                  emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
                     ~key:("gsub|" ^ a)
                     "index of global %s is not statically evaluable; race/bounds analysis is incomplete for it"
                     a
@@ -497,13 +531,13 @@ and record_access ctx st ~write a idxs =
                   in
                   if v < 0 || v >= cells then begin
                     if ctx.check_bounds then
-                      emit ctx.col ~pass:Bounds ~kernel:ctx.kname ~loc ~stmt:(stmt_of st)
+                      emit ctx.col ~pass:Bounds ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
                         ~key:(Printf.sprintf "gb|%s|%s" a (if write then "w" else "r"))
                         "out-of-bounds %s of %s: index %d outside extent of %d cells (halo not guarded?)"
                         (if write then "write" else "read")
                         a v cells
                   end
-                  else global_conflicts ctx st ~write ~loc host v)
+                  else if ctx.check_races then global_conflicts ctx st ~write ~loc host v)
           | _ -> () (* rank error: Check.kernel reports it *)))
 
 and shared_conflicts ctx st ~write ~loc a idxs lin =
@@ -517,7 +551,7 @@ and shared_conflicts ctx st ~write ~loc a idxs lin =
         e
   in
   let report kind (other : sacc) =
-    emit ctx.col ~pass:Race ~kernel:ctx.kname ~loc ~stmt:(stmt_of st)
+    emit ctx.col ~pass:Race ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
       ~key:(Printf.sprintf "%s|%s|%s|%s" kind a (Loc.pp other.s_loc) other.s_stmt)
       "%s race on shared %s: threads %d and %d of one block touch the same cell (index %d) \
        between the same barriers; other access%s: %s [subscripts: %s]"
@@ -534,14 +568,14 @@ and shared_conflicts ctx st ~write ~loc a idxs lin =
     | Some r -> report "rw" r
     | None -> ());
     if (not (List.exists (fun w -> w.s_tid = st.tid) entry.sw)) && List.length entry.sw < 4
-    then entry.sw <- { s_tid = st.tid; s_loc = loc; s_stmt = stmt_of st } :: entry.sw
+    then entry.sw <- { s_tid = st.tid; s_loc = loc; s_stmt = stmt_of ctx st } :: entry.sw
   end
   else begin
     (match List.find_opt (fun w -> w.s_tid <> st.tid) entry.sw with
     | Some w -> report "rw" w
     | None -> ());
     if (not (List.exists (fun r -> r.s_tid = st.tid) entry.sr)) && List.length entry.sr < 4
-    then entry.sr <- { s_tid = st.tid; s_loc = loc; s_stmt = stmt_of st } :: entry.sr
+    then entry.sr <- { s_tid = st.tid; s_loc = loc; s_stmt = stmt_of ctx st } :: entry.sr
   end
 
 and global_conflicts ctx st ~write ~loc host lin =
@@ -559,7 +593,7 @@ and global_conflicts ctx st ~write ~loc host lin =
      nothing orders accesses of different blocks within one launch *)
   let unordered (o : gacc) = o.g_bid <> st.bid || o.g_iv = st.interval in
   let report kind (other : gacc) =
-    emit ctx.col ~pass:Race ~kernel:ctx.kname ~loc ~stmt:(stmt_of st)
+    emit ctx.col ~pass:Race ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
       ~key:(Printf.sprintf "%s|%s|%s|%s" kind host (Loc.pp other.g_loc) other.g_stmt)
       "%s race on global %s: %s threads access the same cell (index %d) with no ordering \
        barrier; other access%s: %s"
@@ -582,19 +616,24 @@ and global_conflicts ctx st ~write ~loc host lin =
         {
           g_bid = st.bid;
           g_tid = st.tid;
+          g_rid = st.rid;
           g_iv = st.interval;
           g_loc = loc;
-          g_stmt = stmt_of st;
+          g_stmt = stmt_of ctx st;
           g_site = st.cstmt;
         }
   in
   if write then begin
     (* cooperative recompute in fused producers re-executes the same
-       statement in several blocks' halos, duplicating an idempotent
-       write: same-site write-write pairs are deliberately not races *)
-    (match
-       List.find_opt (fun w -> distinct w && unordered w && not (same_site w.g_site st.cstmt)) entry.gw
-     with
+       statement in several blocks' halos, and replicas along a thread
+       axis the kernel never reads repeat their statements: both
+       duplicate an idempotent write, so such same-site write-write
+       pairs are deliberately not races.  Two threads of one block that
+       differ on an axis the kernel reads are a race, site or not. *)
+    let duplicate (w : gacc) =
+      same_site w.g_site st.cstmt && (w.g_bid <> st.bid || w.g_rid = st.rid)
+    in
+    (match List.find_opt (fun w -> distinct w && unordered w && not (duplicate w)) entry.gw with
     | Some w -> report "ww" w
     | None -> ());
     (match List.find_opt (fun r -> distinct r && unordered r) entry.gr with
@@ -613,7 +652,7 @@ let rec exec ctx st stmts =
   List.iter
     (fun s ->
       ctx.col.events <- ctx.col.events + 1;
-      if ctx.col.events > ctx.col.budget then raise Budget;
+      if ctx.col.events > ctx.limit then raise Budget;
       let saved_loc = st.cloc and saved_stmt = st.cstmt in
       let l = Loc.find s in
       if not (Loc.is_none l) then st.cloc <- l;
@@ -636,7 +675,7 @@ let rec exec ctx st stmts =
                 (* pass 2 proved the condition uniform, but we cannot
                    resolve it — taking one branch would desynchronize the
                    interval counter, so flag and follow the then-branch *)
-                emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc:st.cloc ~stmt:(stmt_line s)
+                emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc:st.cloc ~stmt:(stmt_line ctx.col s)
                   ~key:"if-barrier"
                   "conditional guarding __syncthreads() is not statically evaluable";
                 exec ctx st t
@@ -682,7 +721,7 @@ let rec exec ctx st stmts =
               restore ()
           | _ ->
               if contains_barrier l.body then
-                emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc:st.cloc ~stmt:(stmt_line s)
+                emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc:st.cloc ~stmt:(stmt_line ctx.col s)
                   ~key:"for-barrier"
                   "bounds of loop containing __syncthreads() are not statically evaluable";
               Hashtbl.replace st.scalars l.index None;
@@ -696,6 +735,246 @@ let rec exec ctx st stmts =
       st.cloc <- saved_loc;
       st.cstmt <- saved_stmt)
     stmts
+
+(* ------------------------------------------------------------------ *)
+(* Pass 1 proof: whole-grid affine race freedom                        *)
+(* ------------------------------------------------------------------ *)
+
+(* An array is race-free in a launch (global) or in one barrier interval
+   of a block (shared) when every write site has one affine form that is
+   injective over the threads (and blocks) it ranges over, and every
+   read either has that same form — each cell is then touched by one
+   thread only — or provably touches no written cell.  Everything is
+   decided on the kft_absint forms over the launch symbols, so the
+   verdict covers the whole grid, not sampled blocks. *)
+
+let wide = 1 lsl 40
+
+let width (syms : A.sym array) s = A.itv_width syms.(s).sy_range
+
+(* Dominance: sorted by |coefficient|, every coefficient exceeds the
+   largest swing of all smaller terms, so two equal values force equal
+   symbols.  Symbols of width 1 cannot differ and are skipped. *)
+let dominant syms terms =
+  let terms =
+    List.filter (fun (s, _) -> width syms s > 1) terms
+    |> List.sort (fun (_, a) (_, b) -> compare (abs a) (abs b))
+  in
+  let rec go swing = function
+    | [] -> true
+    | (s, c) :: rest ->
+        let w = width syms s in
+        w < wide && abs c > swing && go (swing + (abs c * (w - 1))) rest
+  in
+  go 0 terms
+
+(* Equal values of every coordinate in [coords] force the [required]
+   symbols equal: each coordinate is dominant once the [fixed] symbols
+   (equal on both sides) are dropped, and each required symbol is in a
+   coordinate, fixed, or of width 1. *)
+let pins syms ~fixed ~required coords =
+  let strip terms = List.filter (fun (s, _) -> not (fixed s)) terms in
+  List.for_all (fun t -> dominant syms (strip t)) coords
+  && List.for_all
+       (fun s -> fixed s || width syms s <= 1 || List.exists (List.mem_assoc s) coords)
+       required
+
+let holds_of (a : A.access) =
+  List.filter_map (function A.Holds f -> Some f | A.Fails _ -> None) a.acc_guards
+
+(* interval of the terms [v] under the facts [holds]: an atom whose
+   terms are [v] or [-v] bounds it from below or above *)
+let refined syms holds terms : A.itv =
+  let neg = List.map (fun (s, c) -> (s, -c)) terms in
+  List.fold_left
+    (fun (r : A.itv) (f : A.form) ->
+      if f.f_terms = terms then { r with lo = max r.lo (-f.f_const) }
+      else if f.f_terms = neg then { r with hi = min r.hi f.f_const }
+      else r)
+    (A.form_range syms { f_terms = terms; f_const = 0 })
+    holds
+
+(* Delinearize a linear index over [dims] (fastest first) into one
+   coordinate form per dimension, each (but the slowest) inside its
+   extent under [holds].  Equal indices then mean equal coordinates. *)
+let delinearize syms holds dims (f : A.form) =
+  let dims = Array.of_list dims in
+  let n = Array.length dims in
+  if n <= 1 then Some [ f ]
+  else begin
+    let stride = Array.make n 1 in
+    for d = 1 to n - 1 do
+      stride.(d) <- stride.(d - 1) * dims.(d - 1)
+    done;
+    let parts = Array.make n [] in
+    List.iter
+      (fun (s, c) ->
+        let d = ref (n - 1) in
+        while !d > 0 && c mod stride.(!d) <> 0 do
+          decr d
+        done;
+        parts.(!d) <- (s, c / stride.(!d)) :: parts.(!d))
+      (List.rev f.f_terms);
+    let rec split d c acc =
+      if d = n - 1 then Some (List.rev ({ A.f_terms = parts.(d); f_const = c } :: acc))
+      else begin
+        let r = refined syms holds parts.(d) and size = dims.(d) in
+        let lo_k = -r.lo and hi_k = size - 1 - r.hi in
+        let k = lo_k + ((((c - lo_k) mod size) + size) mod size) in
+        if r.lo <= -wide || r.hi >= wide || k > hi_k then None
+        else split (d + 1) ((c - k) / size) ({ A.f_terms = parts.(d); f_const = k } :: acc)
+      end
+    in
+    split 0 f.f_const []
+  end
+
+(* the write form is injective over the required symbols: on the whole
+   index, or coordinate-wise once every site delinearizes alike *)
+let injective syms ~fixed ~required ~dims (f : A.form) sites =
+  pins syms ~fixed ~required [ f.f_terms ]
+  ||
+  match List.map (fun a -> delinearize syms (holds_of a) dims f) sites with
+  | Some coords :: rest when List.for_all (( = ) (Some coords)) rest ->
+      pins syms ~fixed ~required (List.map (fun (c : A.form) -> c.f_terms) coords)
+  | _ -> false
+
+(* The guards of a read as a disjunction of conjunctions of facts: every
+   [Fails] item contributes the negation of one of its atoms.  Past 256
+   cases only the [Holds] facts are kept (a weaker guard). *)
+let disjuncts (a : A.access) =
+  let holds = holds_of a in
+  let fails = List.filter_map (function A.Fails fs -> Some fs | A.Holds _ -> None) a.acc_guards in
+  let count = List.fold_left (fun n fs -> n * max 1 (List.length fs)) 1 fails in
+  if count > 256 then [ holds ]
+  else
+    List.fold_left
+      (fun cases fs ->
+        List.concat_map
+          (fun case ->
+            List.map
+              (fun (g : A.form) ->
+                {
+                  A.f_terms = List.map (fun (s, c) -> (s, -c)) g.f_terms;
+                  f_const = -g.f_const - 1;
+                }
+                :: case)
+              fs)
+          cases)
+      [ holds ] fails
+
+let itv_disjoint (a : A.itv) (b : A.itv) = a.hi < a.lo || b.hi < b.lo || a.hi < b.lo || b.hi < a.lo
+
+(* A read is safe against a write site when no other thread writes a
+   cell it reads: the index ranges are disjoint; or, on equal
+   delinearized coordinates, in every case of the read's guard one
+   coordinate's guarded ranges cannot meet (the guard-complement halo
+   preload); or the coordinates the two share verbatim already pin the
+   thread and block (a thread re-reading its own column, say). *)
+let read_safe syms ~fixed ~required ~dims (r : A.access) (w : A.access) =
+  itv_disjoint r.acc_range w.acc_range
+  ||
+  match (r.acc_form, w.acc_form) with
+  | Some fr, Some fw -> (
+      let hr = holds_of r and hw = holds_of w in
+      match (delinearize syms hr dims fr, delinearize syms hw dims fw) with
+      | Some cr, Some cw ->
+          let coord holds (c : A.form) =
+            let i = refined syms holds c.f_terms in
+            { A.lo = i.lo + c.f_const; hi = i.hi + c.f_const }
+          in
+          let wr = List.map (coord hw) cw in
+          List.for_all
+            (fun case -> List.exists2 (fun c wi -> itv_disjoint (coord case c) wi) cr wr)
+            (disjuncts r)
+          ||
+          pins syms ~fixed ~required
+            (List.filter_map
+               (fun (a, b) -> if a = b then Some a.A.f_terms else None)
+               (List.combine cr cw))
+      | _ -> false)
+  | _ -> false
+
+(* a symbol of width 1 (blockIdx.x of a one-block-wide grid, a
+   one-trip loop) is a constant: folding it keeps forms and guard atoms
+   comparable term by term *)
+let normalize syms (a : A.access) =
+  let norm (f : A.form) =
+    let consts, terms = List.partition (fun (s, _) -> width syms s = 1) f.f_terms in
+    {
+      A.f_terms = terms;
+      f_const = List.fold_left (fun k (s, c) -> k + (c * syms.(s).A.sy_range.lo)) f.f_const consts;
+    }
+  in
+  {
+    a with
+    acc_form = Option.map norm a.acc_form;
+    acc_guards =
+      List.map
+        (function A.Holds f -> A.Holds (norm f) | A.Fails fs -> A.Fails (List.map norm fs))
+        a.acc_guards;
+  }
+
+let array_race_free syms ~fixed ~required ~dims (accs : A.access list) =
+  match List.filter (fun (a : A.access) -> a.acc_write) accs with
+  | [] -> true
+  | w0 :: _ as writes -> (
+      match w0.acc_form with
+      | None -> false
+      | Some f ->
+          List.for_all (fun (w : A.access) -> w.acc_form = Some f) writes
+          &&
+          let reads = List.filter (fun (a : A.access) -> not a.acc_write) accs in
+          let same, others = List.partition (fun (a : A.access) -> a.acc_form = Some f) reads in
+          injective syms ~fixed ~required ~dims f (writes @ same)
+          && List.for_all
+               (fun r -> List.for_all (fun w -> read_safe syms ~fixed ~required ~dims r w) writes)
+               others)
+
+(* the arrays of one analyzed launch the proof does not cover, sorted;
+   [host_of] maps array parameters to host arrays, [dims_of] gives host
+   array dimensions (fastest first) *)
+let unproved_races (r : A.result) ~host_of ~dims_of ~shared =
+  let syms = r.res_syms in
+  let kind s = syms.(s).A.sy_kind in
+  let all = List.init (Array.length syms) Fun.id in
+  let threads = List.filter (fun s -> match kind s with A.Thread _ -> true | _ -> false) all in
+  let blocks = List.filter (fun s -> match kind s with A.Block _ -> true | _ -> false) all in
+  let groups key accs =
+    let tbl = Hashtbl.create 16 in
+    List.iter
+      (fun (a : A.access) ->
+        let k = key a in
+        Hashtbl.replace tbl k (a :: Option.value (Hashtbl.find_opt tbl k) ~default:[]))
+      accs;
+    Hashtbl.fold (fun k v acc -> (k, List.rev v) :: acc) tbl []
+  in
+  let global_accs, shared_accs =
+    List.partition
+      (fun (a : A.access) -> a.acc_space = A.Global)
+      (List.map (normalize syms) r.res_accesses)
+  in
+  let host a = Option.value (List.assoc_opt a host_of) ~default:a in
+  let bad_globals =
+    groups (fun (a : A.access) -> host a.acc_array) global_accs
+    |> List.filter_map (fun (h, accs) ->
+           let ok =
+             array_race_free syms
+               ~fixed:(fun _ -> false)
+               ~required:(threads @ blocks) ~dims:(dims_of h) accs
+           in
+           if ok then None else Some h)
+  in
+  (* within a block's barrier interval, block indices and the counters
+     of barrier loops whose intervals see one iteration are fixed *)
+  let fixed s = match kind s with A.Block _ | A.Trip true -> true | _ -> false in
+  let bad_shared =
+    groups (fun (a : A.access) -> (a.acc_array, a.acc_interval)) shared_accs
+    |> List.filter_map (fun ((name, _), accs) ->
+           let dims = List.rev (Option.value (List.assoc_opt name shared) ~default:[]) in
+           if array_race_free syms ~fixed ~required:threads ~dims accs then None
+           else Some name)
+  in
+  List.sort_uniq compare (bad_globals @ bad_shared)
 
 (* ------------------------------------------------------------------ *)
 (* Launch driver                                                       *)
@@ -714,11 +993,77 @@ let sample_blocks (gx, gy, gz) =
   let rec take n = function [] -> [] | x :: r -> if n = 0 then [] else x :: take (n - 1) r in
   take 8 all
 
-let verify_launch_into col prog (l : launch) =
+(* Walk every thread of the sampled blocks of one launch on its own
+   event budget; [false] when the budget ran out. *)
+let walk_launch col k (l : launch) ~int_params ~host_of ~global_cells ~shared ~check_bounds
+    ~check_races =
+  let grid = grid_of_launch l in
+  let bx, by, bz = l.l_block in
+  let gx, gy, _ = grid in
+  let reads axis =
+    fold_exprs_in_stmts (fold_expr (fun acc e -> acc || e = Builtin (Thread_idx axis))) false k.k_body
+  in
+  let rx = reads X and ry = reads Y and rz = reads Z in
+  let ctx =
+    {
+      col;
+      kname = k.k_name;
+      block = l.l_block;
+      grid;
+      int_params;
+      host_of;
+      global_cells;
+      shared;
+      shared_tab = Hashtbl.create 1024;
+      global_tab = Hashtbl.create 4096;
+      check_bounds;
+      check_races;
+      limit = (if col.budget > max_int - col.events then max_int else col.events + col.budget);
+    }
+  in
+  try
+    List.iter
+      (fun (bix, biy, biz) ->
+        col.blocks <- col.blocks + 1;
+        Hashtbl.reset ctx.shared_tab;
+        let bid = ((biz * gy) + biy) * gx + bix in
+        for tz = 0 to bz - 1 do
+          for ty = 0 to by - 1 do
+            for tx = 0 to bx - 1 do
+              col.threads <- col.threads + 1;
+              let scalars = Hashtbl.create 32 in
+              List.iter (fun (p, v) -> Hashtbl.replace scalars p (Some v)) int_params;
+              let st =
+                {
+                  scalars;
+                  interval = 0;
+                  cloc = Loc.none;
+                  cstmt = None;
+                  tid = ((tz * by) + ty) * bx + tx;
+                  rid =
+                    ((((if rz then tz else 0) * by) + if ry then ty else 0) * bx)
+                    + if rx then tx else 0;
+                  bid;
+                  thread = (tx, ty, tz);
+                  block_idx = (bix, biy, biz);
+                }
+              in
+              try exec ctx st k.k_body with Returned -> ()
+            done
+          done
+        done)
+      (sample_blocks grid);
+    true
+  with Budget ->
+    col.complete <- false;
+    emit col ~pass:Engine ~kernel:k.k_name ~loc:Loc.none ~stmt:"" ~key:"budget"
+      "verification event budget exhausted; analysis incomplete";
+    false
+
+let verify_launch_into ?(walk = false) col prog (l : launch) =
   match find_kernel prog l.l_kernel with
   | exception Not_found -> () (* Check.program reports it *)
   | k ->
-      col.launches <- col.launches + 1;
       let bound = try bind_args k l.l_args with Invalid_argument _ -> [] in
       let int_params =
         List.filter_map (function name, Arg_int v -> Some (name, v) | _ -> None) bound
@@ -734,6 +1079,7 @@ let verify_launch_into col prog (l : launch) =
             | exception Not_found -> None)
           host_of
       in
+      let dims_of h = match find_array prog h with d -> d.a_dims | exception Not_found -> [] in
       let shared =
         fold_stmts
           (fun acc s -> match s with Shared_decl (_, n, dims) -> (n, dims) :: acc | _ -> acc)
@@ -747,81 +1093,42 @@ let verify_launch_into col prog (l : launch) =
          the same dedupe keys the walker would use, so the two passes
          never double-report one defect. *)
       let absint =
-        Kft_absint.Absint.analyze_kernel ~block:l.l_block ~grid:(grid_of_launch l)
-          ~int_params ~global_cells k
+        A.analyze_kernel ~block:l.l_block ~grid:(grid_of_launch l) ~int_params ~global_cells k
       in
-      let bounds_proved = absint.Kft_absint.Absint.res_all_proved in
+      let bounds_proved = absint.res_all_proved in
       if bounds_proved then col.bproved <- col.bproved + 1
       else col.bfallback <- col.bfallback + 1;
       List.iter
-        (fun (a : Kft_absint.Absint.access) ->
+        (fun (a : A.access) ->
           match (a.acc_status, a.acc_space) with
-          | Kft_absint.Absint.Oob, Kft_absint.Absint.Global ->
+          | A.Oob, A.Global ->
               emit col ~pass:Bounds ~kernel:k.k_name ~loc:a.acc_loc ~stmt:""
                 ~key:(Printf.sprintf "gb|%s|%s" a.acc_array (if a.acc_write then "w" else "r"))
-                "out-of-bounds %s of %s: proved index range %s entirely outside extent of %d                  cells"
+                "out-of-bounds %s of %s: proved index range %s entirely outside extent of %d cells"
                 (if a.acc_write then "write" else "read")
-                a.acc_array
-                (Kft_absint.Absint.pp_itv a.acc_range)
-                a.acc_extent
+                a.acc_array (A.pp_itv a.acc_range) a.acc_extent
           | _ -> ())
-        absint.Kft_absint.Absint.res_accesses;
+        absint.res_accesses;
       let divergent = barrier_pass col k.k_name k.k_body in
-      if divergent then
+      if divergent then begin
+        col.rfallback <- col.rfallback + 1;
+        col.launches <- col.launches + 1;
         emit col ~pass:Engine ~kernel:k.k_name ~loc:Loc.none ~stmt:"" ~key:"skip-races"
           "race analysis skipped: kernel has statically divergent barriers"
+      end
       else begin
-        let grid = grid_of_launch l in
-        let bx, by, bz = l.l_block in
-        let gx, gy, _ = grid in
-        let ctx =
-          {
-            col;
-            kname = k.k_name;
-            block = l.l_block;
-            grid;
-            int_params;
-            host_of;
-            global_cells;
-            shared;
-            shared_tab = Hashtbl.create 1024;
-            global_tab = Hashtbl.create 4096;
-            check_bounds = not bounds_proved;
-          }
-        in
-        try
-          List.iter
-            (fun (bix, biy, biz) ->
-              col.blocks <- col.blocks + 1;
-              Hashtbl.reset ctx.shared_tab;
-              let bid = ((biz * gy) + biy) * gx + bix in
-              for tz = 0 to bz - 1 do
-                for ty = 0 to by - 1 do
-                  for tx = 0 to bx - 1 do
-                    col.threads <- col.threads + 1;
-                    let scalars = Hashtbl.create 32 in
-                    List.iter (fun (p, v) -> Hashtbl.replace scalars p (Some v)) int_params;
-                    let st =
-                      {
-                        scalars;
-                        interval = 0;
-                        cloc = Loc.none;
-                        cstmt = None;
-                        tid = ((tz * by) + ty) * bx + tx;
-                        bid;
-                        thread = (tx, ty, tz);
-                        block_idx = (bix, biy, biz);
-                      }
-                    in
-                    try exec ctx st k.k_body with Returned -> ()
-                  done
-                done
-              done)
-            (sample_blocks grid)
-        with Budget ->
-          col.complete <- false;
-          emit col ~pass:Engine ~kernel:k.k_name ~loc:Loc.none ~stmt:"" ~key:"budget"
-            "verification event budget exhausted; analysis incomplete"
+        (* whole-grid race proof first; only a launch with an array the
+           proof cannot cover (or unproved bounds) is walked, on its own
+           event budget *)
+        let unproved = unproved_races absint ~host_of ~dims_of ~shared in
+        col.unproved <- List.map (fun a -> (k.k_name, a)) unproved @ col.unproved;
+        let races_proved = unproved = [] in
+        if races_proved then col.rproved <- col.rproved + 1
+        else col.rfallback <- col.rfallback + 1;
+        if (races_proved && bounds_proved && not walk)
+           || walk_launch col k l ~int_params ~host_of ~global_cells ~shared
+                ~check_bounds:(not bounds_proved) ~check_races:(walk || not races_proved)
+        then col.launches <- col.launches + 1
       end
 
 let verify_launch ?(budget = default_budget) prog l =
@@ -829,14 +1136,12 @@ let verify_launch ?(budget = default_budget) prog l =
   verify_launch_into col prog l;
   report_of col
 
-let verify_program ?(budget = default_budget) prog =
+let verify_schedule ?walk col prog =
+  List.iter (function Launch l -> verify_launch_into ?walk col prog l | _ -> ()) prog.p_schedule
+
+let verify_program ?(budget = default_budget) ?walk prog =
   let col = new_collector budget in
-  List.iter
-    (fun op ->
-      match op with
-      | Launch l when col.complete -> verify_launch_into col prog l
-      | _ -> ())
-    prog.p_schedule;
+  verify_schedule ?walk col prog;
   report_of col
 
 (* ------------------------------------------------------------------ *)
@@ -847,12 +1152,7 @@ let validate ?(budget = default_budget) ?(options = Fusion.auto_options) ~source
     (res : Codegen.result) =
   let col = new_collector budget in
   (* passes 1-3 over everything the generator emitted *)
-  List.iter
-    (fun op ->
-      match op with
-      | Launch l when col.complete -> verify_launch_into col res.program l
-      | _ -> ())
-    res.program.p_schedule;
+  verify_schedule col res.program;
   (* member-order dependences + legality re-derivation for fused kernels *)
   let graphs = Ddg.build source in
   let launch_of name =

@@ -9,17 +9,14 @@
     launch, with four cooperating passes:
 
     {ol
-    {- {b Shared-memory race detection} — a may-happen-in-parallel
-       analysis. Each kernel body is segmented at [__syncthreads()]
-       barriers (sound because pass 2 first proves every barrier is
-       uniform); per-thread index expressions of shared-array accesses
-       are evaluated exactly for every thread of a sampled set of
-       blocks (the affine probe of [Analysis.Access.affine_threads]
-       classifies the subscripts; the concrete walker decides overlap,
-       which also covers the non-affine cooperative-load subscripts
-       [c % w] / [c / w] the code generator emits). Two accesses to the
-       same cell by distinct threads inside one barrier interval with at
-       least one write is a race.}
+    {- {b Race freedom} — for global arrays over the whole launch and
+       for shared arrays per barrier interval of a block (barrier
+       intervals are sound because pass 2 first proves every barrier
+       uniform). Two accesses to one cell by distinct threads, at least
+       one a write, with no barrier ordering them, is a race. Proved
+       first on the kft_absint affine forms of every access (see
+       Proofs below); a launch with an array the proof cannot cover is
+       walked thread by thread instead (see Fallback).}
     {- {b Barrier divergence} — statically proves no barrier sits under
        a thread-dependent conditional or inside a loop whose trip count
        depends on [threadIdx] (a taint analysis from [threadIdx] through
@@ -44,11 +41,30 @@
        transformed schedule, complementing the per-group member-order
        check with inter-kernel coverage.}}
 
-    Sampling: blocks are enumerated at the grid corners plus the first
-    interior neighbours (where halo overlap between adjacent blocks
-    materializes); threads are enumerated exhaustively within each
-    sampled block. An event budget bounds the walk; exhausting it marks
-    the report incomplete rather than wrong. *)
+    Proofs: an array is race-free when all its write sites share one
+    affine index form over threadIdx, blockIdx and loop trip counters
+    that a dominance (mixed-radix) test shows injective over the threads
+    and blocks — on the linear index, or coordinate-wise after
+    delinearizing it over the array's dimensions under the enclosing
+    guards — and every read either has that form, touches provably
+    disjoint cells (index ranges; or, per case of a negated guard, one
+    delinearized coordinate, as in the guard-complement halo preloads
+    of fused kernels), or shares with the write the coordinates that
+    pin the thread. Shared arrays are checked per static barrier
+    interval, where the block index and the counters of barrier loops
+    whose intervals see one iteration are fixed. The verdict covers
+    every thread of every block; [stats.race_proved] counts such
+    launches.
+
+    Fallback: a launch with an unproved array (or unproved bounds) is
+    replayed by a concrete per-thread walker over a sample of blocks —
+    the grid corners plus the first interior neighbours, where halo
+    overlap between adjacent blocks materializes — and every thread of
+    each; [stats.race_fallback] counts these launches and
+    [race_fallbacks] names their unproved arrays. Each walked launch has
+    its own event budget; exhausting it leaves that launch unchecked
+    and the report incomplete rather than wrong, and no launch is ever
+    skipped. *)
 
 type pass = Race | Barrier | Bounds | Translation | Schedule | Engine
 
@@ -83,6 +99,12 @@ type stats = {
   bounds_fallback : int;
       (** launches with at least one access the abstract domain could
           not decide: the sampled bounds walk remains authoritative *)
+  race_proved : int;
+      (** launches whose every global and shared array the whole-grid
+          affine race proof covers: no thread is walked for races *)
+  race_fallback : int;
+      (** launches with an array the proof could not cover (or a
+          divergent barrier): the sampled walker decides their races *)
   sched_deps_checked : int;
       (** source schedule dependences checked end-to-end by {!validate} *)
   sched_fallback : int;
@@ -93,7 +115,10 @@ type stats = {
 type report = {
   diagnostics : diagnostic list;
   stats : stats;
-  complete : bool;  (** [false] when the event budget was exhausted *)
+  complete : bool;  (** [false] when a launch's walk exhausted its event budget *)
+  race_fallbacks : (string * string) list;
+      (** (kernel, array) pairs the race proof could not cover, sorted:
+          their launches were walked *)
 }
 
 val empty_report : report
@@ -109,13 +134,17 @@ val is_clean : report -> bool
     could not resolve statically is not a clean bill). *)
 
 val default_budget : int
+(** Walker events per walked launch (10 M). *)
 
 val verify_launch :
   ?budget:int -> Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> report
-(** Passes 1–3 over one launch of the program's schedule. *)
+(** Passes 1–3 over one launch of the program's schedule.  [budget]
+    bounds the walker's events per launch. *)
 
-val verify_program : ?budget:int -> Kft_cuda.Ast.program -> report
-(** Passes 1–3 over every launch of the schedule. *)
+val verify_program : ?budget:int -> ?walk:bool -> Kft_cuda.Ast.program -> report
+(** Passes 1–3 over every launch of the schedule.  [~walk:true] also
+    runs the sampled walker's race checks on launches the proof covered
+    (the differential check of the proof against the walker). *)
 
 val validate :
   ?budget:int ->

@@ -85,10 +85,65 @@ let test_quickstart_footprints () =
   | None -> Alcotest.fail "V has no write footprint");
   Alcotest.(check bool) "U is never written" true (u.A.fp_writes = None)
 
+(* the race-proof view of an access: a cooperative tile load folds back
+   into its loop counter, the halo preload carries the negated guard,
+   and barriers split intervals *)
+let test_access_forms () =
+  let src =
+    {|
+__global__ void tile(const double *A, double *B) {
+  int tx = threadIdx.x;
+  int ty = threadIdx.y;
+  int tid = ty * 16 + tx;
+  __shared__ double s[6][18];
+  for (int kv = 0; kv < 4; kv++) {
+    for (int c = tid; c < 108; c += 64) {
+      int lx = c % 18;
+      int ly = c / 18;
+      int gx = blockIdx.x * 16 + lx - 1;
+      if (gx >= 1 && gx < 31) {
+        ;
+      } else {
+        s[ly][lx] = A[gx + 1];
+      }
+    }
+    __syncthreads();
+    B[(kv * 4 + ty) * 32 + blockIdx.x * 16 + tx] = s[ty + 1][tx + 1];
+    __syncthreads();
+  }
+}
+|}
+  in
+  let k = List.hd (Kft_cuda.Parse.kernels src) in
+  let r =
+    A.analyze_kernel ~block:(16, 4, 1) ~grid:(2, 1, 1) ~int_params:[]
+      ~global_cells:[ ("A", 34); ("B", 512) ]
+      k
+  in
+  let find space write =
+    List.find (fun (a : A.access) -> a.acc_space = space && a.acc_write = write) r.res_accesses
+  in
+  let load = find A.Shared true and use = find A.Shared false in
+  let kind s = r.res_syms.(s).A.sy_kind in
+  (match load.acc_form with
+  | Some { f_terms = [ (0, 1); (1, 16); (m, 64) ]; f_const = 0 } ->
+      Alcotest.(check bool) "third term is a trip counter" true
+        (match kind m with A.Trip _ -> true | _ -> false)
+  | _ -> Alcotest.fail "s[c / 18][c % 18] does not fold back into c = tid + 64*m");
+  Alcotest.(check bool) "the preload sits under a negated guard" true
+    (List.exists (function A.Fails [ _; _ ] -> true | _ -> false) load.acc_guards);
+  Alcotest.(check bool) "the barrier separates the load from the use" true
+    (load.acc_interval <> use.acc_interval);
+  Alcotest.(check (option int)) "threadIdx.x stride of the output" (Some 1)
+    (A.tx_stride r.res_syms (find A.Global true));
+  Alcotest.(check bool) "the barrier loop's counter is fixed per interval" true
+    (Array.exists (fun (y : A.sym) -> y.sy_kind = A.Trip true) r.res_syms)
+
 let suite =
   [
     Alcotest.test_case "quickstart: every access proved in bounds" `Quick
       test_quickstart_all_proved;
+    Alcotest.test_case "access forms, guards and barrier intervals" `Quick test_access_forms;
     Alcotest.test_case "six apps: every access proved in bounds" `Quick test_apps_all_proved;
     Alcotest.test_case "halo out-of-bounds is not proved" `Quick test_oob_not_proved;
     Alcotest.test_case "quickstart footprints (halo box, interior writes)" `Quick

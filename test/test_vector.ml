@@ -260,6 +260,23 @@ let test_sim_cache_replay () =
     (Mem.equal_within ~tol:0.0 r1.Kft_sim.Profiler.memory r3.Kft_sim.Profiler.memory
     && (List.hd r3.profiles).stats = (List.hd r1.profiles).stats)
 
+(* the prepare memo outlives every run: it must not pin the memory a
+   launch ran on *)
+let memo_probe = Weak.create 1
+
+let[@inline never] run_vector_once () =
+  let prog = Util.producer_consumer_program () in
+  let mem = Mem.create prog.p_arrays in
+  Mem.init_seeded mem ~seed:3;
+  let runs = I.run_schedule ~backend:I.Vector mem prog in
+  Weak.set memo_probe 0 (Some (Mem.get mem "B"));
+  List.length runs
+
+let test_memo_releases_memory () =
+  Alcotest.(check int) "both launches ran" 2 (run_vector_once ());
+  Gc.full_major ();
+  Alcotest.(check bool) "device array collected" false (Weak.check memo_probe 0)
+
 let suite =
   [
     Alcotest.test_case "eligibility fragment" `Quick test_eligibility;
@@ -272,4 +289,5 @@ let suite =
     Alcotest.test_case "executed backend recorded in trace" `Quick test_trace_backend;
     Alcotest.test_case "memory snapshot/restore" `Quick test_memory_snapshot;
     Alcotest.test_case "profile cache replays snapshots" `Quick test_sim_cache_replay;
+    Alcotest.test_case "prepare memo does not pin device memory" `Quick test_memo_releases_memory;
   ]

@@ -168,7 +168,9 @@ let test_clean_program_is_clean () =
   let r = V.verify_program prog in
   Alcotest.(check bool) "clean" true (V.is_clean r);
   Alcotest.(check bool) "complete" true r.complete;
-  Alcotest.(check bool) "walked threads" true (r.stats.threads_walked > 0)
+  Alcotest.(check int) "every checked launch has a race verdict"
+    r.stats.launches_checked
+    (r.stats.race_proved + r.stats.race_fallback)
 
 (* ------------------------------------------------------------------ *)
 (* six applications: sources verify clean; pipeline output validates   *)
@@ -199,11 +201,413 @@ let test_pipeline_validates () =
   Alcotest.(check bool) "some launches checked" true
     (rep.verify_report.stats.launches_checked > 0)
 
+(* a race-free kernel outside the affine fragment: [min] hides the
+   write index from the proof, so the launch falls back to the walker *)
+let walked_program () =
+  let src =
+    {|
+__global__ void clamp(const double *A, double *B, int nx, int ny) {
+  int gi = blockIdx.x * blockDim.x + threadIdx.x;
+  int gj = blockIdx.y * blockDim.y + threadIdx.y;
+  if (gi < nx && gj < ny) {
+    B[gj * nx + min(gi, nx - 1)] = A[gj * nx + gi];
+  }
+}
+|}
+  in
+  let nx, ny, _ = dims in
+  program_of ~arrays:[ "A"; "B" ] ~src
+    [ ("clamp", [ Arg_array "A"; Arg_array "B"; Arg_int nx; Arg_int ny ]) ]
+
 let test_budget_exhaustion () =
-  let prog = Util.producer_consumer_program () in
+  let prog = walked_program () in
+  let full = V.verify_program prog in
+  Alcotest.(check int) "the launch falls back to the walker" 1 full.stats.race_fallback;
+  Alcotest.(check bool) "clean with the default budget" true (V.is_clean full && full.complete);
   let r = V.verify_program ~budget:100 prog in
   Alcotest.(check bool) "incomplete under a tiny budget" true (not r.complete);
-  Alcotest.(check bool) "not clean (engine note)" true (not (V.is_clean r))
+  Alcotest.(check bool) "not clean (engine note)" true (not (V.is_clean r));
+  Alcotest.(check int) "an exhausted launch is not counted as checked" 0
+    r.stats.launches_checked
+
+(* The walker's duplicate-write tolerance: threads that differ only
+   along a thread axis the kernel never reads replicate a write, and
+   that is not a race; two threads of one block that differ along an
+   axis the kernel reads and write one cell are, even from one
+   statement. *)
+let test_same_site_writes () =
+  let src =
+    {|
+__global__ void halve(const double *A, double *B, int nx, int ny) {
+  int gi = blockIdx.x * blockDim.x + threadIdx.x;
+  int gj = blockIdx.y * blockDim.y + threadIdx.y;
+  if (gi < nx && gj < ny) {
+    B[gj * nx + gi / 2] = A[gj * nx + gi];
+  }
+}
+__global__ void rows(const double *A, double *B, int nx) {
+  int gi = blockIdx.x * blockDim.x + threadIdx.x;
+  if (gi < nx) {
+    B[gi] = A[gi];
+  }
+}
+|}
+  in
+  let nx, ny, _ = dims in
+  let halve =
+    program_of ~arrays:[ "A"; "B" ] ~src
+      [ ("halve", [ Arg_array "A"; Arg_array "B"; Arg_int nx; Arg_int ny ]) ]
+  in
+  let r = V.verify_program halve in
+  Alcotest.(check int) "halve falls back" 1 r.stats.race_fallback;
+  Alcotest.(check bool) "aliased writes are a race" true (has_pass V.Race r);
+  let rows =
+    program_of ~arrays:[ "A"; "B" ] ~src [ ("rows", [ Arg_array "A"; Arg_array "B"; Arg_int nx ]) ]
+  in
+  let r = V.verify_program rows in
+  Alcotest.(check int) "rows falls back" 1 r.stats.race_fallback;
+  Alcotest.(check bool) "threadIdx.y replicas are not a race" true (V.is_clean r && r.complete)
+
+(* an affine write index that is not injective: rows of 8 cells under a
+   16-thread-wide row of threads overlap, so the proof must not cover
+   it and the walker must find the write-write race *)
+let test_overlapping_rows () =
+  let src =
+    {|
+__global__ void rows8(const double *A, double *B, int nx, int ny) {
+  int gi = blockIdx.x * blockDim.x + threadIdx.x;
+  int gj = blockIdx.y * blockDim.y + threadIdx.y;
+  if (gi < nx && gj < ny) {
+    B[gj * 8 + gi] = A[gj * nx + gi];
+  }
+}
+|}
+  in
+  let nx, ny, _ = dims in
+  let prog =
+    program_of ~arrays:[ "A"; "B" ] ~src
+      [ ("rows8", [ Arg_array "A"; Arg_array "B"; Arg_int nx; Arg_int ny ]) ]
+  in
+  let r = V.verify_program prog in
+  Alcotest.(check int) "not proved" 1 r.stats.race_fallback;
+  Alcotest.(check bool) "write-write race reported" true (has_pass V.Race r)
+
+(* a barrier loop whose tail touches the tile: the tail of iteration kv
+   and the head of iteration kv + 1 share a barrier interval, so the
+   loop counter is not fixed there and thread tx - 1 of the next
+   iteration overwrites the cell thread tx still reads *)
+let test_barrier_loop_wraparound () =
+  let src =
+    {|
+__global__ void wrap(const double *A, double *B, int nx, int ny) {
+  int tx = threadIdx.x;
+  int gi = blockIdx.x * blockDim.x + tx;
+  int gj = blockIdx.y * blockDim.y + threadIdx.y;
+  __shared__ double s[4][24];
+  for (int kv = 0; kv < 4; kv++) {
+    s[threadIdx.y][tx + kv] = A[gj * nx + gi];
+    __syncthreads();
+    B[gj * nx + gi] = s[threadIdx.y][tx + kv];
+  }
+}
+|}
+  in
+  let nx, ny, _ = dims in
+  let prog =
+    program_of ~arrays:[ "A"; "B" ] ~src
+      [ ("wrap", [ Arg_array "A"; Arg_array "B"; Arg_int nx; Arg_int ny ]) ]
+  in
+  let r = V.verify_program prog in
+  Alcotest.(check int) "not proved" 1 r.stats.race_fallback;
+  Alcotest.(check bool) "shared race reported" true (has_pass V.Race r)
+
+(* every launch of the seven source programs is covered by the proof *)
+let test_sources_race_proved () =
+  List.iter
+    (fun (name, p) ->
+      let r = V.verify_program p in
+      Alcotest.(check int) (name ^ ": no race fallback") 0 r.stats.race_fallback;
+      Alcotest.(check int) (name ^ ": no thread walked") 0 r.stats.threads_walked)
+    (("quickstart", Util.quickstart_program ())
+    :: List.map (fun (a : Kft_apps.Apps.app) -> (a.app_name, a.program)) (Kft_apps.Apps.all ()))
+
+(* the statement-rendering memo dies with its verification run: a
+   verified AST is not kept alive by the verifier afterwards *)
+let memo_probe = Weak.create 1
+
+(* built from a runtime argument, so the AST is allocated on the heap
+   rather than emitted as a static constant *)
+let[@inline never] verify_once last =
+  let gi =
+    Binop (Add, Binop (Mul, Builtin (Block_idx X), Builtin (Block_dim X)), Builtin (Thread_idx X))
+  in
+  (* [min] keeps the write out of the proof, so the walker renders it *)
+  let store = Assign (Lindex ("B", [ Call ("min", [ gi; Int_lit last ]) ]), Double_lit 1.0) in
+  let k =
+    {
+      k_name = "k";
+      k_params = [ Array_param { name = "B"; elem_ty = Double; quals = [] } ];
+      k_body = [ store ];
+    }
+  in
+  let prog =
+    {
+      p_name = "memo";
+      p_arrays = [ { a_name = "B"; a_elem_ty = Double; a_dims = [ 64 ] } ];
+      p_kernels = [ k ];
+      p_schedule =
+        [ Launch { l_kernel = "k"; l_domain = (64, 1, 1); l_block = (32, 1, 1); l_args = [ Arg_array "B" ] } ];
+    }
+  in
+  Weak.set memo_probe 0 (Some store);
+  (V.verify_program prog).stats.race_fallback
+
+let test_memo_releases_asts () =
+  Alcotest.(check int) "walked" 1 (verify_once 63);
+  Gc.full_major ();
+  Alcotest.(check bool) "statement collected" false (Weak.check memo_probe 0)
+
+(* the proved out-of-bounds diagnostic, pinned verbatim *)
+let test_proved_oob_message () =
+  let src =
+    {|
+__global__ void far(const double *A, double *B, int nx, int ny) {
+  int gi = blockIdx.x * blockDim.x + threadIdx.x;
+  int gj = blockIdx.y * blockDim.y + threadIdx.y;
+  if (gi < nx && gj < ny) {
+    B[gj * nx + gi + 4096] = A[gj * nx + gi];
+  }
+}
+|}
+  in
+  let nx, ny, _ = dims in
+  let prog =
+    program_of ~arrays:[ "A"; "B" ] ~src
+      [ ("far", [ Arg_array "A"; Arg_array "B"; Arg_int nx; Arg_int ny ]) ]
+  in
+  let r = V.verify_program prog in
+  let d = diag_of V.Bounds r in
+  Alcotest.(check string) "message"
+    "out-of-bounds write of B: proved index range [4096,4351] entirely outside extent of 1024 \
+     cells"
+    d.d_message
+
+(* ------------------------------------------------------------------ *)
+(* mutation battery: injected defects in fused programs are diagnosed  *)
+(* ------------------------------------------------------------------ *)
+
+(* Rewrite the first statement list, in pre-order over the statement
+   tree, on which [f] succeeds. *)
+let rec rewrite_first f stmts =
+  match f stmts with
+  | Some stmts' -> Some stmts'
+  | None ->
+      let rec go acc = function
+        | [] -> None
+        | s :: rest -> (
+            let inner =
+              match s with
+              | If (c, t, e) -> (
+                  match rewrite_first f t with
+                  | Some t' -> Some (If (c, t', e))
+                  | None -> Option.map (fun e' -> If (c, t, e')) (rewrite_first f e))
+              | For l -> Option.map (fun b -> For { l with body = b }) (rewrite_first f l.body)
+              | _ -> None
+            in
+            match inner with
+            | Some s' -> Some (List.rev_append acc (s' :: rest))
+            | None -> go (s :: acc) rest)
+      in
+      go [] stmts
+
+(* replace the first element of a list satisfying [f] *)
+let replace_first f l =
+  let rec go acc = function
+    | [] -> None
+    | x :: rest -> (
+        match f x with
+        | Some ys -> Some (List.rev_append acc (ys @ rest))
+        | None -> go (x :: acc) rest)
+  in
+  go [] l
+
+let shared_names k =
+  fold_stmts (fun acc s -> match s with Shared_decl (_, n, _) -> n :: acc | _ -> acc) [] k.k_body
+
+let reads_any names stmts =
+  fold_exprs_in_stmts
+    (fold_expr (fun acc e -> acc || match e with Index (a, _) -> List.mem a names | _ -> false))
+    false stmts
+
+let writes_any names stmts =
+  fold_stmts
+    (fun acc s -> acc || match s with Assign (Lindex (a, _), _) -> List.mem a names | _ -> false)
+    false stmts
+
+(* drop the first barrier that separates writes of a shared tile from
+   the statement after it reading that tile *)
+let drop_sync shared stmts =
+  let arr = Array.of_list stmts in
+  let n = Array.length arr in
+  let rec find i seg_start =
+    if i >= n - 1 then None
+    else if arr.(i) = Syncthreads then
+      let before = Array.to_list (Array.sub arr seg_start (i - seg_start)) in
+      let tiles = List.filter (fun a -> writes_any [ a ] before) shared in
+      if tiles <> [] && reads_any tiles [ arr.(i + 1) ] then Some i else find (i + 1) (i + 1)
+    else find (i + 1) seg_start
+  in
+  Option.map (fun i -> List.filteri (fun j _ -> j <> i) stmts) (find 0 0)
+
+(* shift the first subscript of the first shared-tile write by one *)
+let shift_shared shared =
+  replace_first (function
+    | Assign (Lindex (a, i0 :: rest), e) when List.mem a shared ->
+        Some [ Assign (Lindex (a, Binop (Add, i0, Int_lit 1) :: rest), e) ]
+    | _ -> None)
+
+(* alias the first global write indexed by gi: gi -> gi / 2 *)
+let alias_global shared =
+  let uses_gi e = fold_expr (fun acc e -> acc || e = Var "gi") false e in
+  replace_first (function
+    | Assign (Lindex (a, [ idx ]), e) when (not (List.mem a shared)) && uses_gi idx ->
+        let idx' = map_expr (function Var "gi" -> Binop (Div, Var "gi", Int_lit 2) | e -> e) idx in
+        Some [ Assign (Lindex (a, [ idx' ]), e) ]
+    | _ -> None)
+
+(* remove the guard complement of the first halo preload *)
+let drop_complement shared =
+  replace_first (function
+    | If (_, [], [ (Assign (Lindex (a, _), Index _) as load) ]) when List.mem a shared ->
+        Some [ load ]
+    | _ -> None)
+
+let mutations =
+  [
+    ("dropped __syncthreads()", drop_sync, [ V.Race ]);
+    ("shared subscript shifted by one", shift_shared, [ V.Race; V.Bounds ]);
+    ("global write index aliased (gi -> gi / 2)", alias_global, [ V.Race ]);
+    ("halo preload without its guard complement", drop_complement, [ V.Race ]);
+  ]
+
+(* apply [mutate] to the first fused kernel holding shared tiles *)
+let mutate_program (p : program) mutate =
+  match List.find_opt (fun k -> shared_names k <> []) p.p_kernels with
+  | None -> None
+  | Some k ->
+      Option.map
+        (fun body ->
+          {
+            p with
+            p_kernels =
+              List.map (fun k' -> if k'.k_name = k.k_name then { k with k_body = body } else k') p.p_kernels;
+          })
+        (rewrite_first (mutate (shared_names k)) k.k_body)
+
+let check_battery what (p : program) =
+  Alcotest.(check bool) (what ^ ": unmutated program is clean") true (V.is_clean (V.verify_program p));
+  List.iter
+    (fun (name, mutate, passes) ->
+      match mutate_program p mutate with
+      | None -> Alcotest.failf "%s: no site for mutation %s" what name
+      | Some m ->
+          let r = V.verify_program m in
+          if not (List.exists (fun pass -> has_pass pass r) passes) then
+            Alcotest.failf "%s: mutation %s is not diagnosed (%d diagnostics: %s)" what name
+              (List.length r.diagnostics)
+              (String.concat "; " (List.map V.pp_diagnostic r.diagnostics)))
+    mutations
+
+(* a 2-D stencil producer fused with a stencil consumer of its output:
+   a produced tile with a guard-complement halo preload *)
+let fused_chain () =
+  let nx, ny, nz = (32, 16, 8) in
+  let src =
+    Util.stencil_src ~name:"produce" ~src:"A" ~dst:"B" ~margin:1 ~threed:false
+    ^ Util.stencil_src ~name:"consume" ~src:"B" ~dst:"C" ~margin:2 ~threed:false
+  in
+  let launch k arrays =
+    { l_kernel = k; l_domain = (nx, ny, 1); l_block = (16, 4, 1);
+      l_args = Util.std_args (nx, ny, nz) arrays 0.5 }
+  in
+  let l1 = launch "produce" [ "A"; "B" ] and l2 = launch "consume" [ "B"; "C" ] in
+  let prog =
+    {
+      p_name = "chain";
+      p_arrays = List.map (Util.arr3 (nx, ny, nz)) [ "A"; "B"; "C" ];
+      p_kernels = Kft_cuda.Parse.kernels src;
+      p_schedule = [ Launch l1; Launch l2 ];
+    }
+  in
+  (Kft_codegen.Codegen.transform Util.device prog ~groups:[ [ l1; l2 ] ]).program
+
+let test_mutations_fused () = check_battery "fused chain" (fused_chain ())
+
+(* the first fuzzed chain (fixed seeds) whose fused form stages a
+   produced tile, i.e. offers every mutation site *)
+let test_mutations_fuzzed () =
+  let rec pick seed =
+    if seed > 500 then Alcotest.fail "no fuzzed chain with a produced tile in 500 seeds"
+    else
+      let s = QCheck.Gen.generate1 ~rand:(Random.State.make [| seed |]) Util.fuzz_sample_gen in
+      let p = s.Util.fz_program in
+      let launches = List.filter_map (function Launch l -> Some l | _ -> None) p.p_schedule in
+      let fused =
+        try Some (Kft_codegen.Codegen.transform Util.device p ~groups:[ launches ]).program
+        with _ -> None
+      in
+      match fused with
+      | Some f when List.for_all (fun (_, m, _) -> mutate_program f m <> None) mutations -> f
+      | _ -> pick (seed + 1)
+  in
+  check_battery "fuzzed chain" (pick 0)
+
+(* ------------------------------------------------------------------ *)
+(* differential: a proved launch is race-free for the walker too       *)
+(* ------------------------------------------------------------------ *)
+
+let check_differential what (proof : V.report) (p : program) =
+  let walked = V.verify_program ~budget:max_int ~walk:true p in
+  Alcotest.(check bool) (what ^ ": walk complete") true walked.complete;
+  List.iter
+    (fun (d : V.diagnostic) ->
+      if d.d_pass = V.Race && not (List.mem_assoc d.d_kernel proof.race_fallbacks) then
+        Alcotest.failf "%s: proof says %s is race-free, the walker says %s" what d.d_kernel
+          (V.pp_diagnostic d))
+    walked.diagnostics
+
+let test_differential () =
+  let programs =
+    ("quickstart", Util.quickstart_program ())
+    :: List.map (fun (a : Kft_apps.Apps.app) -> (a.app_name, a.program)) (Kft_apps.Apps.all ())
+  in
+  List.iter
+    (fun (name, p) ->
+      check_differential (name ^ " (source)") (V.verify_program p) p;
+      let rep = F.transform ~config:small_config p in
+      check_differential (name ^ " (transformed)") rep.verify_report rep.transformed)
+    programs
+
+(* the same check over fuzzed chains, their fused form and every mutant
+   of it: the mutants are racy, so a wrong proof would show here *)
+let prop_differential_fuzzed =
+  QCheck.Test.make ~name:"proved launches of fuzzed, fused and mutated chains are race-free"
+    ~count:40 Util.fuzz_sample_arb (fun s ->
+      let p = s.Util.fz_program in
+      let launches = List.filter_map (function Launch l -> Some l | _ -> None) p.p_schedule in
+      let fused =
+        try [ (Kft_codegen.Codegen.transform Util.device p ~groups:[ launches ]).program ]
+        with _ -> []
+      in
+      let mutants =
+        List.concat_map
+          (fun f -> List.filter_map (fun (_, m, _) -> mutate_program f m) mutations)
+          fused
+      in
+      List.iter
+        (fun q -> check_differential "fuzzed" (V.verify_program q) q)
+        ((p :: fused) @ mutants);
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* round-trip: Parse (Pp.kernels k) == k                               *)
@@ -255,6 +659,20 @@ let suite =
       test_pipeline_validates;
     Alcotest.test_case "event budget exhaustion is reported, not wrong" `Quick
       test_budget_exhaustion;
+    Alcotest.test_case "proved out-of-bounds message is exact" `Quick test_proved_oob_message;
+    Alcotest.test_case "verified ASTs are not retained" `Quick test_memo_releases_asts;
+    Alcotest.test_case "walker: aliased writes race, unread-axis replicas do not" `Quick
+      test_same_site_writes;
+    Alcotest.test_case "seven source programs are race-proved" `Quick test_sources_race_proved;
+    Alcotest.test_case "non-injective affine writes are not proved" `Quick test_overlapping_rows;
+    Alcotest.test_case "barrier-loop wrap-around is not proved" `Quick
+      test_barrier_loop_wraparound;
+    Alcotest.test_case "mutations of a fused chain are diagnosed" `Quick test_mutations_fused;
+    Alcotest.test_case "mutations of a fused fuzzed chain are diagnosed" `Quick
+      test_mutations_fuzzed;
+    Alcotest.test_case "proved launches are race-free for the walker (7 programs)" `Slow
+      test_differential;
+    QCheck_alcotest.to_alcotest prop_differential_fuzzed;
   ]
 
 let roundtrip_suite =
