@@ -496,18 +496,18 @@ let paper () =
 (* ------------------------------------------------------------------ *)
 
 (* one full schedule simulation on freshly seeded memory *)
-let sim_run ?engine ?(affine = true) ?backend (p : Kft_cuda.Ast.program) =
+let sim_run ?engine ?backend (p : Kft_cuda.Ast.program) =
   let mem = Kft_sim.Memory.create p.p_arrays in
   Kft_sim.Memory.init_seeded mem ~seed:42;
   let t0 = Unix.gettimeofday () in
-  let runs = Kft_sim.Interp.run_schedule ?engine ~affine ?backend mem p in
+  let runs = Kft_sim.Interp.run_schedule ?engine ?backend mem p in
   let wall = Unix.gettimeofday () -. t0 in
   (wall, mem, List.map snd runs)
 
 (* run [sim_run] under a temporary engine when [jobs > 1] *)
-let sim_run_at ~jobs ~affine ?backend p =
-  if jobs <= 1 then sim_run ~affine ?backend p
-  else Engine.with_engine ~jobs ~memo:false (fun e -> sim_run ~engine:e ~affine ?backend p)
+let sim_run_at ~jobs ~backend p =
+  if jobs <= 1 then sim_run ~backend p
+  else Engine.with_engine ~jobs ~memo:false (fun e -> sim_run ~engine:e ~backend p)
 
 (* splice statically decided guards (kft_absint) in every kernel that is
    launched with a single distinct (block, grid, int args) configuration;
@@ -550,15 +550,15 @@ let despliced (p : Kft_cuda.Ast.program) =
 
 let sim () =
   print_endline
-    "== simulator throughput: interpret / compiled-affine / block-parallel / vectorized / auto ==";
+    "== simulator throughput: interpret / compiled-affine / block-parallel ==";
   Printf.printf "   (parallel configs at jobs=%d; this host reports %d core(s))\n%!" !jobs
     (Domain.recommended_domain_count ());
   let repeats = 2 in
-  let time ~jobs ~affine ?backend p =
+  let time ~jobs ~backend p =
     (* best-of-N wall time; memory and stats are identical across repeats *)
     let best = ref infinity and result = ref None in
     for _ = 1 to repeats do
-      let wall, mem, stats = sim_run_at ~jobs ~affine ?backend p in
+      let wall, mem, stats = sim_run_at ~jobs ~backend p in
       if wall < !best then best := wall;
       result := Some (mem, stats)
     done;
@@ -584,22 +584,20 @@ let sim () =
     (fun name ->
       let a = app name in
       let p = a.program in
-      let _, ref_mem, ref_stats = sim_run_at ~jobs:1 ~affine:false p in
+      let _, ref_mem, ref_stats = sim_run_at ~jobs:1 ~backend:Kft_sim.Interp.Interpret p in
       let threads = float_of_int (total_threads ref_stats) in
       let cells = float_of_int (total_cells p) in
       let configs =
         [
-          ("interpret", 1, false, None);
-          ("compiled-affine", 1, true, None);
-          ("block-parallel", !jobs, true, None);
-          ("vectorized", 1, true, Some Kft_sim.Interp.Vector);
-          ("auto", !jobs, true, Some Kft_sim.Interp.Auto);
+          ("interpret", 1, Kft_sim.Interp.Interpret);
+          ("compiled-affine", 1, Kft_sim.Interp.Affine);
+          ("block-parallel", !jobs, Kft_sim.Interp.Affine);
         ]
       in
       let walls =
         List.map
-          (fun (cname, jobs, affine, backend) ->
-            let wall, _, _ = time ~jobs ~affine ?backend p in
+          (fun (cname, jobs, backend) ->
+            let wall, _, _ = time ~jobs ~backend p in
             (cname, wall))
           configs
       in
@@ -609,48 +607,18 @@ let sim () =
           Printf.printf "%-13s %-16s %7.3f %11.2f %9.2f %8.2fx\n%!" name cname wall
             (threads /. wall /. 1e6) (cells /. wall /. 1e6) (base /. wall))
         walls;
-      (* the adaptive dispatcher must never lose noticeably to the best
-         fixed backend on any app (>5% counts as a dispatch bug) *)
-      (let auto_w = List.assoc "auto" walls in
-       let best_fixed =
-         List.fold_left min infinity
-           (List.filter_map
-              (fun (c, w) -> if c = "auto" then None else Some w)
-              walls)
-       in
-       if auto_w > best_fixed *. 1.05 then
-         Printf.eprintf
-           "[bench] sim: WARNING: auto on %s is %.0f%% slower than the best fixed backend\n%!"
-           name
-           (100.0 *. ((auto_w /. best_fixed) -. 1.0)));
-      (* bit-identity: every (jobs, affine, backend) setting must
-         reproduce the sequential reference interpreter's memory and
-         stats exactly *)
+      (* bit-identity: every (jobs, backend) setting must reproduce the
+         sequential reference interpreter's memory and stats exactly *)
       List.iter
-        (fun (jobs, affine, backend) ->
-          let _, m, s = sim_run_at ~jobs ~affine ?backend p in
+        (fun (jobs, backend) ->
+          let _, m, s = sim_run_at ~jobs ~backend p in
           if not (Kft_sim.Memory.equal_within ~tol:0.0 ref_mem m && ref_stats = s) then begin
-            Printf.eprintf
-              "[bench] sim: %s diverged from sequential at jobs=%d affine=%b backend=%s\n%!"
-              name jobs affine
-              (match backend with
-              | Some b -> Kft_sim.Interp.backend_name b
-              | None -> "-");
+            Printf.eprintf "[bench] sim: %s diverged from sequential at jobs=%d backend=%s\n%!"
+              name jobs (Kft_sim.Interp.backend_name backend);
             exit 1
           end)
-        [
-          (1, true, None);
-          (2, false, None);
-          (2, true, None);
-          (4, false, None);
-          (4, true, None);
-          (1, true, Some Kft_sim.Interp.Vector);
-          (2, true, Some Kft_sim.Interp.Vector);
-          (4, true, Some Kft_sim.Interp.Vector);
-          (1, true, Some Kft_sim.Interp.Auto);
-          (4, true, Some Kft_sim.Interp.Auto);
-          (1, true, Some Kft_sim.Interp.Interpret);
-        ];
+        Kft_sim.Interp.
+          [ (1, Affine); (2, Interpret); (2, Affine); (4, Interpret); (4, Affine) ];
       let fields =
         List.map
           (fun (cname, wall) ->
@@ -666,7 +634,7 @@ let sim () =
           (String.concat ",\n" fields)
         :: !json_apps)
     all_app_names;
-  print_endline "  bit-identity across jobs in {1,2,4} x backends {interp,affine,vector,auto}: ok";
+  print_endline "  bit-identity across jobs in {1,2,4} x backends {interp,affine}: ok";
   (* guard elimination (kft_absint): wall-time effect of splicing
      provably-true guards, with bit-identity asserted before/after and
      across the jobs sweep on the spliced program *)
@@ -674,14 +642,14 @@ let sim () =
   print_endline "program            guards  wall-before(s)  wall-after(s)  speedup";
   let guard_rows = ref [] in
   let datapoint name before after eliminated =
-    let wb, mb, _ = time ~jobs:1 ~affine:true before in
-    let wa, ma, _ = time ~jobs:1 ~affine:true after in
+    let wb, mb, _ = time ~jobs:1 ~backend:Kft_sim.Interp.Affine before in
+    let wa, ma, _ = time ~jobs:1 ~backend:Kft_sim.Interp.Affine after in
     if not (Kft_sim.Memory.equal_within ~tol:0.0 mb ma) then begin
       Printf.eprintf "[bench] sim: guard elimination changed results on %s\n%!" name;
       exit 1
     end;
     (* the spliced program keeps the jobs-sweep bit-identity guarantee *)
-    let _, m4, _ = sim_run_at ~jobs:4 ~affine:true after in
+    let _, m4, _ = sim_run_at ~jobs:4 ~backend:Kft_sim.Interp.Affine after in
     if not (Kft_sim.Memory.equal_within ~tol:0.0 ma m4) then begin
       Printf.eprintf "[bench] sim: spliced %s diverged at jobs=4\n%!" name;
       exit 1
@@ -808,11 +776,11 @@ __global__ void probe(const double *A, double *B, int nx, int ny, int nz, double
    measurement is only meaningful at jobs=1; memory setup and teardown
    stay outside the measured window (the grids themselves are off-heap
    and never counted by the GC at all). *)
-let alloc_words ?backend ~affine (p : Kft_cuda.Ast.program) =
+let alloc_words ~backend (p : Kft_cuda.Ast.program) =
   let mem = Kft_sim.Memory.create p.p_arrays in
   Kft_sim.Memory.init_seeded mem ~seed:42;
   let w0 = Gc.minor_words () in
-  let runs = Kft_sim.Interp.run_schedule ~affine ?backend mem p in
+  let runs = Kft_sim.Interp.run_schedule ~backend mem p in
   let w1 = Gc.minor_words () in
   let threads =
     List.fold_left
@@ -822,8 +790,8 @@ let alloc_words ?backend ~affine (p : Kft_cuda.Ast.program) =
   Kft_sim.Memory.release mem;
   (w1 -. w0, threads)
 
-(* the substrate's hot-loop guarantee, asserted: on the affine and
-   vectorized fast paths, growing the domain 16x must not grow the
+(* the substrate's hot-loop guarantee, asserted: on the compiled affine
+   path, growing the domain 16x must not grow the
    allocation proportionally — steady-state words per additional thread
    stay below a fixed budget that is an order of magnitude under what a
    single boxed float per executed statement would cost. (The small
@@ -832,26 +800,21 @@ let alloc_budget_words_per_thread = 8.0
 
 let assert_alloc_budget () =
   let dims_small = (16, 8, 6) and dims_large = (64, 32, 6) in
-  let configs =
-    [ ("compiled-affine", true, None); ("vectorized", true, Some Kft_sim.Interp.Vector) ]
-  in
-  List.iter
-    (fun (cname, affine, backend) ->
-      (* one warm-up run amortizes process-wide one-time setup *)
-      ignore (alloc_words ~affine ?backend (mem_probe_program dims_small));
-      let ws, ts = alloc_words ~affine ?backend (mem_probe_program dims_small) in
-      let wl, tl = alloc_words ~affine ?backend (mem_probe_program dims_large) in
-      let per_thread = (wl -. ws) /. float_of_int (tl - ts) in
-      if per_thread > alloc_budget_words_per_thread then begin
-        Printf.eprintf
-          "[bench] mem: %s allocates %.2f words/thread in steady state (budget %.1f): \
-           the hot loop is boxing\n%!"
-          cname per_thread alloc_budget_words_per_thread;
-        exit 1
-      end;
-      Printf.printf "  %-16s steady-state %.3f words/thread (budget %.1f)\n%!" cname
-        per_thread alloc_budget_words_per_thread)
-    configs
+  let backend = Kft_sim.Interp.Affine in
+  (* one warm-up run amortizes process-wide one-time setup *)
+  ignore (alloc_words ~backend (mem_probe_program dims_small));
+  let ws, ts = alloc_words ~backend (mem_probe_program dims_small) in
+  let wl, tl = alloc_words ~backend (mem_probe_program dims_large) in
+  let per_thread = (wl -. ws) /. float_of_int (tl - ts) in
+  if per_thread > alloc_budget_words_per_thread then begin
+    Printf.eprintf
+      "[bench] mem: compiled-affine allocates %.2f words/thread in steady state (budget \
+       %.1f): the hot loop is boxing\n%!"
+      per_thread alloc_budget_words_per_thread;
+    exit 1
+  end;
+  Printf.printf "  %-16s steady-state %.3f words/thread (budget %.1f)\n%!" "compiled-affine"
+    per_thread alloc_budget_words_per_thread
 
 (* liveness-driven arena overlay (kft_schedflow): per application, pool
    high-water of a profiled run with the packed layout vs under the
@@ -865,9 +828,9 @@ let overlay_bench () =
   print_endline
     "application   packed-Kcells  overlay-Kcells  high-water saving   stats";
   let module Sf = Kft_schedflow.Schedflow in
-  let run ?engine ?affine ?backend ?layout p =
+  let run ?engine ?backend ?layout p =
     Kft_sim.Memory.Pool.reset ();
-    let r = Kft_sim.Profiler.profile ?engine ?affine ?backend ?layout device p in
+    let r = Kft_sim.Profiler.profile ?engine ?backend ?layout device p in
     let sts =
       List.map
         (fun (kp : Kft_sim.Profiler.kernel_profile) -> (kp.kernel, kp.stats))
@@ -894,20 +857,19 @@ let overlay_bench () =
              block-parallel *)
           let combos =
             [
-              ("interpret", 1, false, None);
-              ("vectorized", 1, true, Some Kft_sim.Interp.Vector);
-              ("compiled-affine-j4", 4, true, None);
+              ("interpret", 1, Kft_sim.Interp.Interpret);
+              ("compiled-affine-j4", 4, Kft_sim.Interp.Affine);
             ]
           in
           let identical =
             sts_plain = sts_ovl
             && List.for_all
-                 (fun (label, jobs, affine, backend) ->
+                 (fun (label, jobs, backend) ->
                    let sts, _ =
-                     if jobs <= 1 then run ~affine ?backend ~layout p
+                     if jobs <= 1 then run ~backend ~layout p
                      else
                        Engine.with_engine ~jobs ~memo:false (fun e ->
-                           run ~engine:e ~affine ?backend ~layout p)
+                           run ~engine:e ~backend ~layout p)
                    in
                    let ok = sts = sts_plain in
                    if not ok then
@@ -931,23 +893,19 @@ let mem_bench () =
     (fun name ->
       let p = (app name).program in
       List.iter
-        (fun (cname, affine, backend) ->
+        (fun (cname, backend) ->
           (* warm run: compile caches, pool warm-up; measured run then
              reflects the steady state the GGA's fitness loop lives in *)
-          ignore (alloc_words ~affine ?backend p);
+          ignore (alloc_words ~backend p);
           let s0 = Kft_sim.Memory.Pool.stats () in
-          let words, threads = alloc_words ~affine ?backend p in
+          let words, threads = alloc_words ~backend p in
           let s1 = Kft_sim.Memory.Pool.stats () in
           let dreq = s1.requests - s0.requests and dhit = s1.hits - s0.hits in
           let hitp = if dreq = 0 then 0.0 else 100.0 *. float_of_int dhit /. float_of_int dreq in
           Printf.printf "%-13s %-16s %12.3f %13.2f %10.1f\n%!" name cname (words /. 1e6)
             (words /. float_of_int threads)
             hitp)
-        [
-          ("interpret", false, None);
-          ("compiled-affine", true, None);
-          ("vectorized", true, Some Kft_sim.Interp.Vector);
-        ])
+        [ ("interpret", Kft_sim.Interp.Interpret); ("compiled-affine", Kft_sim.Interp.Affine) ])
     all_app_names;
   assert_alloc_budget ();
   (let s = Kft_sim.Memory.Pool.stats () in
@@ -1003,22 +961,23 @@ let smoke () =
      runtest` via the alias rule in bench/dune) *)
   List.iter
     (fun (prog_name, (p : Kft_cuda.Ast.program)) ->
-      let _, m_seq, s_seq = sim_run_at ~jobs:1 ~affine:false p in
+      let _, m_seq, s_seq = sim_run_at ~jobs:1 ~backend:Kft_sim.Interp.Interpret p in
       List.iter
-        (fun (label, jobs, affine, backend) ->
-          let _, m, st = sim_run_at ~jobs ~affine ?backend p in
+        (fun (label, jobs, backend) ->
+          let _, m, st = sim_run_at ~jobs ~backend p in
           if not (Kft_sim.Memory.equal_within ~tol:0.0 m_seq m && s_seq = st) then begin
             Printf.eprintf "[bench] smoke: %s diverged from sequential on %s\n%!" label
               prog_name;
             exit 1
           end)
-        [
-          ("block-parallel@jobs=2", 2, true, None);
-          ("vectorized@jobs=1", 1, true, Some Kft_sim.Interp.Vector);
-          ("vectorized@jobs=4", 4, true, Some Kft_sim.Interp.Vector);
-          ("auto@jobs=4", 4, true, Some Kft_sim.Interp.Auto);
-          ("interp@jobs=4", 4, false, Some Kft_sim.Interp.Interpret);
-        ])
+        Kft_sim.Interp.
+          [
+            ("compiled-affine@jobs=1", 1, Affine);
+            ("block-parallel@jobs=2", 2, Affine);
+            ("block-parallel@jobs=4", 4, Affine);
+            ("interp@jobs=2", 2, Interpret);
+            ("interp@jobs=4", 4, Interpret);
+          ])
     (("quickstart", (Apps.quickstart ()).program)
     :: List.map (fun n -> (n, (app n).program)) all_app_names);
   Printf.printf "  %-22s %-12s bit-identical to sequential\n%!" "all-backends" "all apps";

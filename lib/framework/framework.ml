@@ -39,9 +39,7 @@ let default_config =
     seed = 42;
     verify_tolerance = 1e-9;
     sim_cache = Some Kft_metadata.Metadata.Sim_cache.global;
-    (* Auto is safe as the default precisely because backends are
-       bit-identical: it can only change how fast stage 1 runs *)
-    backend = Kft_sim.Interp.Auto;
+    backend = Kft_sim.Interp.Affine;
     schedflow = true;
   }
 
@@ -86,7 +84,6 @@ type report = {
   new_graphs : Ddg.t;
   sim_cache_stats : Kft_engine.Engine.Cache.stats option;
   pool_stats : Kft_sim.Memory.Pool.stats;
-  backends : (string * string) list;
   trace : Trace.t option;
 }
 
@@ -698,21 +695,6 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   Trace.note trace "pool_hits" (Trace.Int pool_stats.Kft_sim.Memory.Pool.hits);
   Trace.note trace "pool_misses" (Trace.Int pool_stats.Kft_sim.Memory.Pool.misses);
   Trace.note trace "pool_high_water" (Trace.Int pool_stats.Kft_sim.Memory.Pool.high_water);
-  (* which concrete backend each baseline launch executes on under this
-     config — a pure re-query of the (static) selection, for the stage
-     report *)
-  let backends =
-    List.fold_left
-      (fun acc sched ->
-        match sched with
-        | Launch l when not (List.mem_assoc l.l_kernel acc) ->
-            ( l.l_kernel,
-              Kft_sim.Interp.backend_name (Kft_sim.Interp.selected_backend ~backend prog l) )
-            :: acc
-        | _ -> acc)
-      [] prog.p_schedule
-    |> List.rev
-  in
   (match engine with
   | Some e ->
       let ps = Kft_engine.Engine.pool_stats e in
@@ -748,7 +730,6 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
     new_graphs = Ddg.build transformed;
     sim_cache_stats;
     pool_stats;
-    backends;
     trace;
   }
 
@@ -758,9 +739,6 @@ let stage_report r =
   p "== stage 1: metadata ==";
   p "kernels profiled: %d, baseline modeled time: %.1f us" (List.length r.metadata.performance)
     r.baseline.total_time_us;
-  if r.backends <> [] then
-    p "  execution backends: %s"
-      (String.concat ", " (List.map (fun (k, b) -> k ^ ":" ^ b) r.backends));
   (match r.sim_cache_stats with
   | Some s ->
       p "  profile cache: %d hits, %d misses this run (%d cached simulations)"

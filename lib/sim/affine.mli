@@ -30,7 +30,7 @@
     order, addresses and bounds checks, and the introduced statements
     are integer-typed so flop and divergence counters are untouched.
     {!Interp} applies it internally (after blockDim/gridDim constant
-    substitution) when launched with [~affine:true], the default. *)
+    substitution) on every backend but [Interpret]. *)
 
 val rewrite_stmts : Kft_cuda.Ast.stmt list -> Kft_cuda.Ast.stmt list
 (** Rewrite a kernel body. Fresh names use the reserved [__aff] prefix. *)

@@ -3,12 +3,7 @@ module Engine = Kft_engine.Engine
 module Trace = Kft_trace.Trace
 module A1 = Bigarray.Array1
 
-(* The stats record, binding environment, type inference and static
-   expression analyses are shared with the vectorized backend (module
-   [Simc]) and re-exported here with type equations so existing users of
-   [Interp.stats] etc. are unaffected. *)
-
-type stats = Simc.stats = {
+type stats = {
   mutable global_read_bytes : int;
   mutable global_write_bytes : int;
   mutable flops : float;
@@ -21,20 +16,63 @@ type stats = Simc.stats = {
   blocks_launched : int;
 }
 
-let divergence_fraction = Simc.divergence_fraction
-let copy_stats = Simc.copy_stats
-let zero_stats = Simc.zero_stats
-let diff_stats = Simc.diff_stats
+let divergence_fraction s =
+  if s.warp_cond_evals = 0 then 0.0
+  else float_of_int s.divergent_warp_cond_evals /. float_of_int s.warp_cond_evals
 
-exception Sim_error = Simc.Sim_error
+let copy_stats s = { s with global_read_bytes = s.global_read_bytes }
+
+let zero_stats ~shared_bytes_per_block ~blocks_launched =
+  {
+    global_read_bytes = 0;
+    global_write_bytes = 0;
+    flops = 0.0;
+    warp_cond_evals = 0;
+    divergent_warp_cond_evals = 0;
+    shared_hazards = 0;
+    threads_launched = 0;
+    threads_active = 0;
+    shared_bytes_per_block;
+    blocks_launched;
+  }
+
+(* Per-block counter deltas against a snapshot taken at block entry. All
+   flop addends are [float_of_int] of static counts, so every partial sum
+   is an exactly-represented integer and the subtraction is exact: the
+   per-block deltas re-summed in block order reproduce the sequential
+   accumulator bit for bit. *)
+let diff_stats cur base =
+  {
+    global_read_bytes = cur.global_read_bytes - base.global_read_bytes;
+    global_write_bytes = cur.global_write_bytes - base.global_write_bytes;
+    flops = cur.flops -. base.flops;
+    warp_cond_evals = cur.warp_cond_evals - base.warp_cond_evals;
+    divergent_warp_cond_evals =
+      cur.divergent_warp_cond_evals - base.divergent_warp_cond_evals;
+    shared_hazards = cur.shared_hazards - base.shared_hazards;
+    threads_launched = 0;
+    threads_active = cur.threads_active - base.threads_active;
+    shared_bytes_per_block = cur.shared_bytes_per_block;
+    blocks_launched = 1;
+  }
+
+exception Sim_error of { kernel : string; message : string }
 
 exception Thread_exit
+
+(* Single-float-field record: OCaml stores the field flat (unboxed), so
+   [acc.v <- x] is a plain store. The fast-path float compilers thread
+   one of these through every compiled closure instead of returning
+   floats — a float returned across an indirect closure call is boxed
+   (an allocation per call), which is exactly what the steady-state
+   zero-allocation contract of the affine path forbids. *)
+type facc = { mutable v : float }
 
 (* ------------------------------------------------------------------ *)
 (* Compilation environment                                             *)
 (* ------------------------------------------------------------------ *)
 
-type binding = Simc.binding =
+type binding =
   | Const_int of int
   | Const_float of float
   | Int_slot of int
@@ -71,13 +109,13 @@ type st = {
          optimized path against. *)
   read_flags : (string, bool ref) Hashtbl.t;
   write_flags : (string, bool ref) Hashtbl.t;
-  acc : Simc.facc;
+  acc : facc;
       (* float-expression accumulator for the fast path: compiled float
          closures are [int -> unit] writing here instead of returning a
          float, because a float returned across an indirect call is
          boxed — an allocation per expression node per thread. The store
          to a single-float-field record is flat. *)
-  flacc : Simc.facc;
+  flacc : facc;
       (* fast-path flop accumulator; folded into [stats.flops] once per
          block (a [float] store into the mixed [stats] record boxes) *)
 }
@@ -85,22 +123,66 @@ type st = {
 let err st msg = raise (Sim_error { kernel = st.kernel_name; message = msg })
 
 (* test hook: when set, every in-bounds global access on the
-   interpretive (non-affine) path reports (write, array, linear index);
-   the optimized affine path does not trace, so run with [affine:false].
+   interpretive path reports (write, array, linear index); the optimized
+   affine path does not trace, so run with [~backend:Interpret].
    Used by the absint footprint-soundness property tests. *)
 let access_trace : (write:bool -> string -> int -> unit) option ref = ref None
 
-let usage_flag = Simc.usage_flag
+let usage_flag tbl name =
+  match Hashtbl.find_opt tbl name with
+  | Some r -> r
+  | None ->
+      let r = ref false in
+      Hashtbl.replace tbl name r;
+      r
 
 (* ------------------------------------------------------------------ *)
-(* Type inference over the subset (shared with the vector backend)     *)
+(* Type inference over the subset                                      *)
 (* ------------------------------------------------------------------ *)
 
-type ety = Simc.ety = EInt | EFloat
+type ety = EInt | EFloat
 
-let join = Simc.join
-let ty_of = Simc.ty_of
-let float_flops = Simc.float_flops
+let join a b = match (a, b) with EInt, EInt -> EInt | _ -> EFloat
+
+let rec ty_of lookup e =
+  match e with
+  | Int_lit _ -> EInt
+  | Double_lit _ -> EFloat
+  | Builtin _ -> EInt
+  | Var v -> (
+      match lookup v with
+      | Const_int _ | Int_slot _ -> EInt
+      | Const_float _ | Float_slot _ -> EFloat
+      | Global _ | Shared _ -> EFloat)
+  | Binop ((Add | Sub | Mul | Div | Mod), a, b) -> join (ty_of lookup a) (ty_of lookup b)
+  | Binop (_, _, _) -> EInt
+  | Unop (Not, _) -> EInt
+  | Unop (Neg, a) -> ty_of lookup a
+  | Index _ -> EFloat
+  | Call (("min" | "max" | "abs"), args) ->
+      List.fold_left (fun acc a -> join acc (ty_of lookup a)) EInt args
+  | Call _ -> EFloat
+  | Ternary (_, a, b) -> join (ty_of lookup a) (ty_of lookup b)
+
+(* static flop count of an expression (arithmetic on any operands;
+   integer index arithmetic is excluded by construction because we only
+   charge flops for float-typed subtrees) *)
+let rec float_flops lookup e =
+  match ty_of lookup e with
+  | EInt -> 0
+  | EFloat -> (
+      match e with
+      | Int_lit _ | Double_lit _ | Var _ | Builtin _ | Index _ -> 0
+      | Binop ((Add | Sub | Mul | Div | Mod), a, b) ->
+          1 + float_flops lookup a + float_flops lookup b
+      | Binop (_, a, b) -> float_flops lookup a + float_flops lookup b
+      | Unop (_, a) -> float_flops lookup a
+      | Call ("fma", args) -> 2 + List.fold_left (fun acc a -> acc + float_flops lookup a) 0 args
+      | Call (("sqrt" | "exp" | "log" | "pow" | "sin" | "cos"), args) ->
+          4 + List.fold_left (fun acc a -> acc + float_flops lookup a) 0 args
+      | Call (_, args) -> List.fold_left (fun acc a -> acc + float_flops lookup a) 0 args
+      | Ternary (c, a, b) ->
+          float_flops lookup c + max (float_flops lookup a) (float_flops lookup b))
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
@@ -119,9 +201,55 @@ let shared_addr st dims idx_fns name t =
   in
   go dims idx_fns 0
 
-let sum_terms = Simc.sum_terms
-let static_int = Simc.static_int
-let const_float_of = Simc.const_float_of
+(* Left-leaning [+]/[-] chains, leftmost term first. [a + b - c] yields
+   [(true, a); (true, b); (false, c)]: the sign belongs to the term, and
+   since IEEE subtraction is addition of the negated operand, folding the
+   sign into the leaf closure is bit-exact. *)
+let rec sum_terms e acc =
+  match e with
+  | Binop (Add, l, r) -> sum_terms l ((true, r) :: acc)
+  | Binop (Sub, l, r) -> sum_terms l ((false, r) :: acc)
+  | _ -> (true, e) :: acc
+
+(* compile-time integer constants: literals, bound scalar parameters and
+   non-trapping arithmetic over them (Div/Mod are left to the runtime so
+   a division by zero still raises per-thread, as the reference does) *)
+let rec static_int lookup e =
+  match e with
+  | Int_lit i -> Some i
+  | Var v -> ( match lookup v with Const_int i -> Some i | _ -> None)
+  | Binop (op, a, b) -> (
+      match (static_int lookup a, static_int lookup b) with
+      | Some x, Some y -> (
+          match op with
+          | Add -> Some (x + y)
+          | Sub -> Some (x - y)
+          | Mul -> Some (x * y)
+          | Div | Mod -> None
+          | Lt -> Some (if x < y then 1 else 0)
+          | Le -> Some (if x <= y then 1 else 0)
+          | Gt -> Some (if x > y then 1 else 0)
+          | Ge -> Some (if x >= y then 1 else 0)
+          | Eq -> Some (if x = y then 1 else 0)
+          | Ne -> Some (if x <> y then 1 else 0)
+          | And -> Some (if x <> 0 && y <> 0 then 1 else 0)
+          | Or -> Some (if x <> 0 || y <> 0 then 1 else 0))
+      | _ -> None)
+  | Unop (Neg, a) -> Option.map (fun x -> -x) (static_int lookup a)
+  | Unop (Not, a) -> Option.map (fun x -> if x = 0 then 1 else 0) (static_int lookup a)
+  | _ -> None
+
+(* compile-time float constants (literals and bound scalar parameters) *)
+let const_float_of lookup e =
+  match e with
+  | Double_lit f -> Some f
+  | Int_lit i -> Some (float_of_int i)
+  | Var v -> (
+      match lookup v with
+      | Const_float f -> Some f
+      | Const_int i -> Some (float_of_int i)
+      | _ -> None)
+  | _ -> None
 
 let rec compile_int st lookup e : int -> int =
   match (if st.fast then static_int lookup e else None) with
@@ -270,39 +398,39 @@ and compile_cond st lookup e : int -> int =
         | Lt ->
             fun t ->
               fa t;
-              let x = acc.Simc.v in
+              let x = acc.v in
               fb t;
-              if x < acc.Simc.v then 1 else 0
+              if x < acc.v then 1 else 0
         | Le ->
             fun t ->
               fa t;
-              let x = acc.Simc.v in
+              let x = acc.v in
               fb t;
-              if x <= acc.Simc.v then 1 else 0
+              if x <= acc.v then 1 else 0
         | Gt ->
             fun t ->
               fa t;
-              let x = acc.Simc.v in
+              let x = acc.v in
               fb t;
-              if x > acc.Simc.v then 1 else 0
+              if x > acc.v then 1 else 0
         | Ge ->
             fun t ->
               fa t;
-              let x = acc.Simc.v in
+              let x = acc.v in
               fb t;
-              if x >= acc.Simc.v then 1 else 0
+              if x >= acc.v then 1 else 0
         | Eq ->
             fun t ->
               fa t;
-              let x = acc.Simc.v in
+              let x = acc.v in
               fb t;
-              if x = acc.Simc.v then 1 else 0
+              if x = acc.v then 1 else 0
         | Ne ->
             fun t ->
               fa t;
-              let x = acc.Simc.v in
+              let x = acc.v in
               fb t;
-              if x <> acc.Simc.v then 1 else 0
+              if x <> acc.v then 1 else 0
         | _ -> assert false
       end
       else
@@ -436,22 +564,22 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
   match ty_of lookup e with
   | EInt ->
       let f = compile_int st lookup e in
-      fun t -> acc.Simc.v <- float_of_int (f t)
+      fun t -> acc.v <- float_of_int (f t)
   | EFloat -> (
       match e with
-      | Double_lit f -> fun _ -> acc.Simc.v <- f
+      | Double_lit f -> fun _ -> acc.v <- f
       | Var v -> (
           match lookup v with
-          | Const_float f -> fun _ -> acc.Simc.v <- f
+          | Const_float f -> fun _ -> acc.v <- f
           | Float_slot s ->
               let arr = st.fregs.(s) in
-              fun t -> acc.Simc.v <- Array.unsafe_get arr t
+              fun t -> acc.v <- Array.unsafe_get arr t
           | Const_int i ->
               let f = float_of_int i in
-              fun _ -> acc.Simc.v <- f
+              fun _ -> acc.v <- f
           | Int_slot s ->
               let arr = st.iregs.(s) in
-              fun t -> acc.Simc.v <- float_of_int (Array.unsafe_get arr t)
+              fun t -> acc.v <- float_of_int (Array.unsafe_get arr t)
           | Global _ | Shared _ -> err st (Printf.sprintf "array %s used as scalar" v))
       | Index (a, idxs) -> (
           match lookup a with
@@ -486,7 +614,7 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
                     else begin
                       stats.global_read_bytes <- stats.global_read_bytes + 8;
                       touched := true;
-                      acc.Simc.v <- A1.unsafe_get data i
+                      acc.v <- A1.unsafe_get data i
                     end
               | Some (arr, off) ->
                   fun t ->
@@ -494,7 +622,7 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
                     if i < 0 || i >= n then oob i
                     else begin
                       touched := true;
-                      acc.Simc.v <- A1.unsafe_get data i
+                      acc.v <- A1.unsafe_get data i
                     end
               | None ->
                   let idx = compile_int st lookup single in
@@ -505,7 +633,7 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
                       else begin
                         stats.global_read_bytes <- stats.global_read_bytes + 8;
                         touched := true;
-                        acc.Simc.v <- A1.unsafe_get data i
+                        acc.v <- A1.unsafe_get data i
                       end
                   else
                     fun t ->
@@ -513,7 +641,7 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
                       if i < 0 || i >= n then oob i
                       else begin
                         touched := true;
-                        acc.Simc.v <- A1.unsafe_get data i
+                        acc.v <- A1.unsafe_get data i
                       end)
           | Shared (slot, dims) ->
               let idx_fns = List.map (compile_int st lookup) idxs in
@@ -523,7 +651,7 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
                 if st.sh_epoch.(slot).(addr) = st.epoch && st.sh_writer.(slot).(addr) <> t
                    && st.sh_writer.(slot).(addr) >= 0
                 then stats.shared_hazards <- stats.shared_hazards + 1;
-                acc.Simc.v <- st.shmem.(slot).(addr)
+                acc.v <- st.shmem.(slot).(addr)
           | _ -> err st (Printf.sprintf "%s indexed but is not an array" a))
       | Binop ((Add | Sub), _, _)
         when (let ts = sum_terms e [] in
@@ -544,101 +672,101 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
                 else
                   fun t ->
                     f t;
-                    acc.Simc.v <- -.acc.Simc.v)
+                    acc.v <- -.acc.v)
               (sum_terms e [])
           in
           match Array.of_list fns with
           | [| a; b; c |] ->
               fun t ->
                 a t;
-                let s = acc.Simc.v in
+                let s = acc.v in
                 b t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 c t;
-                acc.Simc.v <- s +. acc.Simc.v
+                acc.v <- s +. acc.v
           | [| a; b; c; d |] ->
               fun t ->
                 a t;
-                let s = acc.Simc.v in
+                let s = acc.v in
                 b t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 c t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 d t;
-                acc.Simc.v <- s +. acc.Simc.v
+                acc.v <- s +. acc.v
           | [| a; b; c; d; e |] ->
               fun t ->
                 a t;
-                let s = acc.Simc.v in
+                let s = acc.v in
                 b t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 c t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 d t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 e t;
-                acc.Simc.v <- s +. acc.Simc.v
+                acc.v <- s +. acc.v
           | [| a; b; c; d; e; f |] ->
               fun t ->
                 a t;
-                let s = acc.Simc.v in
+                let s = acc.v in
                 b t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 c t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 d t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 e t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 f t;
-                acc.Simc.v <- s +. acc.Simc.v
+                acc.v <- s +. acc.v
           | [| a; b; c; d; e; f; g |] ->
               fun t ->
                 a t;
-                let s = acc.Simc.v in
+                let s = acc.v in
                 b t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 c t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 d t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 e t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 f t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 g t;
-                acc.Simc.v <- s +. acc.Simc.v
+                acc.v <- s +. acc.v
           | [| a; b; c; d; e; f; g; h |] ->
               fun t ->
                 a t;
-                let s = acc.Simc.v in
+                let s = acc.v in
                 b t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 c t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 d t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 e t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 f t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 g t;
-                let s = s +. acc.Simc.v in
+                let s = s +. acc.v in
                 h t;
-                acc.Simc.v <- s +. acc.Simc.v
+                acc.v <- s +. acc.v
           | _ -> assert false (* arity guarded above *))
       | Binop (Mul, a, b) when const_float_of lookup a <> None ->
           let c = Option.get (const_float_of lookup a) in
           let fb = acompile_float ~count st lookup b in
           fun t ->
             fb t;
-            acc.Simc.v <- c *. acc.Simc.v
+            acc.v <- c *. acc.v
       | Binop (Mul, a, b) when const_float_of lookup b <> None ->
           let c = Option.get (const_float_of lookup b) in
           let fa = acompile_float ~count st lookup a in
           fun t ->
             fa t;
-            acc.Simc.v <- acc.Simc.v *. c
+            acc.v <- acc.v *. c
       | Binop (op, a, b) -> (
           let fa = acompile_float ~count st lookup a
           and fb = acompile_float ~count st lookup b in
@@ -646,39 +774,39 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
           | Add ->
               fun t ->
                 fa t;
-                let x = acc.Simc.v in
+                let x = acc.v in
                 fb t;
-                acc.Simc.v <- x +. acc.Simc.v
+                acc.v <- x +. acc.v
           | Sub ->
               fun t ->
                 fa t;
-                let x = acc.Simc.v in
+                let x = acc.v in
                 fb t;
-                acc.Simc.v <- x -. acc.Simc.v
+                acc.v <- x -. acc.v
           | Mul ->
               fun t ->
                 fa t;
-                let x = acc.Simc.v in
+                let x = acc.v in
                 fb t;
-                acc.Simc.v <- x *. acc.Simc.v
+                acc.v <- x *. acc.v
           | Div ->
               fun t ->
                 fa t;
-                let x = acc.Simc.v in
+                let x = acc.v in
                 fb t;
-                acc.Simc.v <- x /. acc.Simc.v
+                acc.v <- x /. acc.v
           | Mod ->
               fun t ->
                 fa t;
-                let x = acc.Simc.v in
+                let x = acc.v in
                 fb t;
-                acc.Simc.v <- Float.rem x acc.Simc.v
+                acc.v <- Float.rem x acc.v
           | _ -> err st "comparison in float context")
       | Unop (Neg, a) ->
           let f = acompile_float ~count st lookup a in
           fun t ->
             f t;
-            acc.Simc.v <- -.acc.Simc.v
+            acc.v <- -.acc.v
       | Unop (Not, _) -> err st "logical not in float context"
       | Ternary (c, a, b) ->
           let fc = compile_cond st lookup c
@@ -691,42 +819,42 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
           | ("sqrt", [ a ]) ->
               fun t ->
                 a t;
-                acc.Simc.v <- sqrt acc.Simc.v
+                acc.v <- sqrt acc.v
           | ("fabs", [ a ]) | ("abs", [ a ]) ->
               fun t ->
                 a t;
-                acc.Simc.v <- Float.abs acc.Simc.v
+                acc.v <- Float.abs acc.v
           | ("exp", [ a ]) ->
               fun t ->
                 a t;
-                acc.Simc.v <- exp acc.Simc.v
+                acc.v <- exp acc.v
           | ("log", [ a ]) ->
               fun t ->
                 a t;
-                acc.Simc.v <- log acc.Simc.v
+                acc.v <- log acc.v
           | ("sin", [ a ]) ->
               fun t ->
                 a t;
-                acc.Simc.v <- sin acc.Simc.v
+                acc.v <- sin acc.v
           | ("cos", [ a ]) ->
               fun t ->
                 a t;
-                acc.Simc.v <- cos acc.Simc.v
+                acc.v <- cos acc.v
           | ("pow", [ a; b ]) ->
               fun t ->
                 a t;
-                let x = acc.Simc.v in
+                let x = acc.v in
                 b t;
-                acc.Simc.v <- Float.pow x acc.Simc.v
+                acc.v <- Float.pow x acc.v
           | (("min" | "fmin"), [ a; b ]) ->
               (* Stdlib [Float.min] inlined (its indirect call would box
                  both arguments): same -0.0 / nan discipline, bit for bit *)
               fun t ->
                 a t;
-                let x = acc.Simc.v in
+                let x = acc.v in
                 b t;
-                let y = acc.Simc.v in
-                acc.Simc.v <-
+                let y = acc.v in
+                acc.v <-
                   (if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
                      if y <> y then y else x
                    else if x <> x then x
@@ -735,10 +863,10 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
               (* Stdlib [Float.max] inlined, same rationale *)
               fun t ->
                 a t;
-                let x = acc.Simc.v in
+                let x = acc.v in
                 b t;
-                let y = acc.Simc.v in
-                acc.Simc.v <-
+                let y = acc.v in
+                acc.v <-
                   (if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
                      if x <> x then x else y
                    else if y <> y then y
@@ -746,11 +874,11 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
           | ("fma", [ a; b; c ]) ->
               fun t ->
                 a t;
-                let x = acc.Simc.v in
+                let x = acc.v in
                 b t;
-                let y = acc.Simc.v in
+                let y = acc.v in
                 c t;
-                acc.Simc.v <- Float.fma x y acc.Simc.v
+                acc.v <- Float.fma x y acc.v
           | _ ->
               err st
                 (Printf.sprintf "unsupported function %s/%d" fname (List.length args)))
@@ -782,14 +910,47 @@ type cstmt =
 let has_sync stmts =
   fold_stmts (fun acc s -> acc || s = Syncthreads) false stmts
 
-let stmts_read_var = Simc.stmts_read_var
+let stmts_read_var v stmts =
+  let found = ref false in
+  ignore
+    (map_exprs_in_stmts
+       (fun e ->
+         (match e with Var x when x = v -> found := true | _ -> ());
+         e)
+       stmts);
+  !found
 
 (* integer-only, side-effect-free, non-trapping conditions: evaluating
    them once (GLeaf) or twice (Leaf: divergence pass + dispatch) is
    indistinguishable — no stats, no memory traffic, no Sim_error *)
-let pure_int_cond = Simc.pure_int_cond
+let rec pure_int_cond lookup e =
+  match e with
+  | Int_lit _ -> true
+  | Builtin (Thread_idx _ | Block_idx _) -> true
+  | Builtin _ -> false
+  | Var v -> ( match lookup v with Const_int _ | Int_slot _ -> true | _ -> false)
+  | Binop ((Div | Mod), _, _) -> false
+  | Binop (_, a, b) -> pure_int_cond lookup a && pure_int_cond lookup b
+  | Unop (_, a) -> pure_int_cond lookup a
+  | Ternary (c, a, b) ->
+      pure_int_cond lookup c && pure_int_cond lookup a && pure_int_cond lookup b
+  | Double_lit _ | Index _ | Call _ -> false
 
-let static_read_count = Simc.static_read_count
+(* number of global-array reads one evaluation of [e] performs, or
+   [None] when the count is data-dependent (a [Ternary] picks a branch
+   at run time). Shared-memory reads are excluded: they do not touch
+   [global_read_bytes] and keep their per-access hazard accounting. *)
+let static_read_count lookup e =
+  let rec go e =
+    match e with
+    | Index (a, _) -> ( match lookup a with Global _ -> 1 | _ -> 0)
+    | Binop (_, a, b) -> go a + go b
+    | Unop (_, a) -> go a
+    | Call (_, args) -> List.fold_left (fun acc a -> acc + go a) 0 args
+    | Ternary _ -> raise Exit
+    | Int_lit _ | Double_lit _ | Var _ | Builtin _ -> 0
+  in
+  try Some (go e) with Exit -> None
 
 (* compile a statement list into a single per-thread closure (no syncs
    inside, guaranteed by caller) *)
@@ -853,23 +1014,23 @@ and compile_thread_stmt st lookup s : int -> unit =
             if rb = 0 && flops = 0.0 then
               fun t ->
                 f t;
-                Array.unsafe_set arr t acc.Simc.v
+                Array.unsafe_set arr t acc.v
             else if rb = 0 then
               fun t ->
                 f t;
-                Array.unsafe_set arr t acc.Simc.v;
-                fl.Simc.v <- fl.Simc.v +. flops
+                Array.unsafe_set arr t acc.v;
+                fl.v <- fl.v +. flops
             else if flops = 0.0 then
               fun t ->
                 f t;
-                Array.unsafe_set arr t acc.Simc.v;
+                Array.unsafe_set arr t acc.v;
                 stats.global_read_bytes <- stats.global_read_bytes + rb
             else
               fun t ->
                 f t;
-                Array.unsafe_set arr t acc.Simc.v;
+                Array.unsafe_set arr t acc.v;
                 stats.global_read_bytes <- stats.global_read_bytes + rb;
-                fl.Simc.v <- fl.Simc.v +. flops
+                fl.v <- fl.v +. flops
           end
           else
             let f = compile_float st lookup e in
@@ -913,9 +1074,9 @@ and compile_thread_stmt st lookup s : int -> unit =
                 if i < 0 || i >= n then oob i
                 else begin
                   rhs t;
-                  A1.unsafe_set data i acc.Simc.v;
+                  A1.unsafe_set data i acc.v;
                   stats.global_write_bytes <- stats.global_write_bytes + 8;
-                  fl.Simc.v <- fl.Simc.v +. flops;
+                  fl.v <- fl.v +. flops;
                   touched := true
                 end
           | Some (arr, off) ->
@@ -924,10 +1085,10 @@ and compile_thread_stmt st lookup s : int -> unit =
                 if i < 0 || i >= n then oob i
                 else begin
                   rhs t;
-                  A1.unsafe_set data i acc.Simc.v;
+                  A1.unsafe_set data i acc.v;
                   stats.global_read_bytes <- stats.global_read_bytes + rb;
                   stats.global_write_bytes <- stats.global_write_bytes + 8;
-                  fl.Simc.v <- fl.Simc.v +. flops;
+                  fl.v <- fl.v +. flops;
                   touched := true
                 end
           | None ->
@@ -937,10 +1098,10 @@ and compile_thread_stmt st lookup s : int -> unit =
                 if i < 0 || i >= n then oob i
                 else begin
                   rhs t;
-                  A1.unsafe_set data i acc.Simc.v;
+                  A1.unsafe_set data i acc.v;
                   stats.global_read_bytes <- stats.global_read_bytes + rb;
                   stats.global_write_bytes <- stats.global_write_bytes + 8;
-                  fl.Simc.v <- fl.Simc.v +. flops;
+                  fl.v <- fl.v +. flops;
                   touched := true
                 end)
       | Global data ->
@@ -974,10 +1135,10 @@ and compile_thread_stmt st lookup s : int -> unit =
             fun t ->
               let addr = shared_addr st dims idx_fns a t in
               rhs t;
-              st.shmem.(slot).(addr) <- acc.Simc.v;
+              st.shmem.(slot).(addr) <- acc.v;
               st.sh_writer.(slot).(addr) <- t;
               st.sh_epoch.(slot).(addr) <- st.epoch;
-              fl.Simc.v <- fl.Simc.v +. flops
+              fl.v <- fl.v +. flops
           else
             let rhs = compile_float st lookup e in
             fun t ->
@@ -1219,7 +1380,55 @@ and exec_cstmt st c =
 (* Launch                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let collect_scalar_slots = Simc.collect_scalar_slots
+let collect_scalar_slots kernel_name body params =
+  (* name -> ety, slot index; loop indices and decls *)
+  let table : (string, binding) Hashtbl.t = Hashtbl.create 32 in
+  let int_slots = ref 0 and float_slots = ref 0 in
+  let add_var name ety =
+    match Hashtbl.find_opt table name with
+    | Some (Int_slot _) when ety = EInt -> ()
+    | Some (Float_slot _) when ety = EFloat -> ()
+    | Some _ ->
+        raise
+          (Sim_error
+             {
+               kernel = kernel_name;
+               message = Printf.sprintf "variable %s redeclared with a different type" name;
+             })
+    | None ->
+        let b =
+          match ety with
+          | EInt ->
+              incr int_slots;
+              Int_slot (!int_slots - 1)
+          | EFloat ->
+              incr float_slots;
+              Float_slot (!float_slots - 1)
+        in
+        Hashtbl.replace table name b
+  in
+  ignore params;
+  let shared_slots = ref [] in
+  let rec walk stmts =
+    List.iter
+      (fun s ->
+        match s with
+        | Decl (Int, v, _) | Decl (Bool, v, _) -> add_var v EInt
+        | Decl (Double, v, _) -> add_var v EFloat
+        | Shared_decl (_, n, dims) ->
+            if not (List.mem_assoc n !shared_slots) then
+              shared_slots := !shared_slots @ [ (n, dims) ]
+        | For l ->
+            add_var l.index EInt;
+            walk l.body
+        | If (_, t, e) ->
+            walk t;
+            walk e
+        | Assign _ | Syncthreads | Return -> ())
+      stmts
+  in
+  walk body;
+  (table, !int_slots, !float_slots, !shared_slots)
 
 (* the flags are keyed by PARAMETER names; translate to host array names *)
 let usage_to_host (kernel : kernel) args (read_params, write_params) =
@@ -1229,9 +1438,13 @@ let usage_to_host (kernel : kernel) args (read_params, write_params) =
   (collect read_params, collect write_params)
 
 (* ------------------------------------------------------------------ *)
-(* Backend selection                                                   *)
+(* Execution backends                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Two execution paths: the reference interpreter ([fast = false], no
+   rewriting) and the compiled lockstep path with affine strength
+   reduction. [Auto] and [Vector] are accepted aliases of [Affine]: CLI
+   values and recorded benchmark metric keys still name them. *)
 type backend = Auto | Interpret | Affine | Vector
 
 let backend_name = function
@@ -1247,19 +1460,28 @@ let backend_of_string = function
   | "vector" -> Some Vector
   | _ -> None
 
-(* the concrete backend a launch will execute on; pure — used by the
-   framework stage report. [Vector] demurs to [Affine] when the launch
-   is outside the vectorizable fragment. *)
-let selected_backend ?(affine = true) ?backend prog l =
-  match backend with
-  | Some (Auto | Vector) -> if Vector.eligible prog l then Vector else Affine
-  | Some Affine -> Affine
-  | Some Interpret -> Interpret
-  | None -> if affine then Affine else Interpret
+(* ------------------------------------------------------------------ *)
+(* Block-range chunking policy                                         *)
+(* ------------------------------------------------------------------ *)
 
-(* test hook (re-exported from [Simc]): force the chunk count so the
-   ordered-merge path is exercisable on single-core hosts *)
-let chunk_override = Simc.chunk_override
+(* test hook: force a chunk count so the ordered-merge path can be
+   exercised deterministically even on a single-core host (where the
+   adaptive policy below always picks 1) *)
+let chunk_override : int option ref = ref None
+
+(* Each chunk recompiles the kernel against its own register state,
+   so chunking only pays off when there are real worker domains and
+   enough blocks per chunk to amortize the per-chunk compilation: small
+   launches (blocks < ~4 x workers) and single-worker pools stay
+   sequential — paying pool coordination with zero usable parallelism is
+   exactly the Fluam block-parallel regression. Splitting scales with the
+   domains actually spawned, not the requested width. *)
+let chunks_for ~jobs ~workers ~blocks =
+  match !chunk_override with
+  | Some n -> max 1 (min n (max 1 blocks))
+  | None ->
+      if jobs <= 1 || workers <= 1 || blocks < 4 * workers then 1
+      else min (workers * 2) (blocks / 4)
 
 (* Blocks are independent in the executed subset (no inter-block sync or
    atomics; kft_verify additionally proves per-thread write disjointness
@@ -1270,39 +1492,9 @@ let chunk_override = Simc.chunk_override
    jobs setting. Kernels with cross-block write overlap are undefined
    behaviour in CUDA itself; for those the sequential path keeps the
    last-writer-in-block-order result while parallel chunks may differ. *)
-let launch_ext ?engine ?(affine = true) ?backend ?trace mem prog (l : launch) =
+let launch_ext ?engine ?(backend = Affine) ?trace mem prog (l : launch) =
   Trace.with_span trace ("launch:" ^ l.l_kernel) @@ fun () ->
-  let resolved =
-    match backend with
-    | Some Interpret -> `Lockstep false
-    | Some Affine -> `Lockstep true
-    | Some (Auto | Vector) -> `Try_vector
-    | None -> `Lockstep affine
-  in
-  let vec =
-    match resolved with
-    | `Try_vector -> Vector.try_run ?engine mem prog l
-    | `Lockstep _ -> None
-  in
-  match vec with
-  | Some (stats, usage, nchunks) ->
-      let kernel = find_kernel prog l.l_kernel in
-      Trace.add trace "blocks" stats.blocks_launched;
-      Trace.add trace "threads" stats.threads_launched;
-      Trace.add trace "read_bytes" stats.global_read_bytes;
-      Trace.add trace "write_bytes" stats.global_write_bytes;
-      (* which backend ran is a pure function of the launch (eligibility
-         is static), so it lives in the canonical channel; the chunk
-         split varies with the worker count and stays a side note *)
-      Trace.set trace "backend" (Trace.Str "vector");
-      Trace.note trace "chunks" (Trace.Int nchunks);
-      (stats, usage_to_host kernel l.l_args usage)
-  | None ->
-  let affine =
-    match resolved with
-    | `Lockstep a -> a
-    | `Try_vector -> true  (* outside the fragment: best lockstep mode *)
-  in
+  let affine = backend <> Interpret in
   let kernel = find_kernel prog l.l_kernel in
   let bound = bind_args kernel l.l_args in
   let bx, by, bz = l.l_block in
@@ -1382,8 +1574,8 @@ let launch_ext ?engine ?(affine = true) ?backend ?trace mem prog (l : launch) =
         fast = affine;
         read_flags = Hashtbl.create 8;
         write_flags = Hashtbl.create 8;
-        acc = { Simc.v = 0.0 };
-        flacc = { Simc.v = 0.0 };
+        acc = { v = 0.0 };
+        flacc = { v = 0.0 };
       }
     in
     let lookup v =
@@ -1408,7 +1600,7 @@ let launch_ext ?engine ?(affine = true) ?backend ?trace mem prog (l : launch) =
       (* fold the fast path's unboxed flop accumulator into the stats
          record once per block — [base] saw the previous block's fold, so
          the delta below is exactly this block's contribution *)
-      if st.fast then stats.flops <- st.flacc.Simc.v;
+      if st.fast then stats.flops <- st.flacc.v;
       per_block.(b) <- diff_stats stats base
     done;
     let observed tbl = Hashtbl.fold (fun p r acc -> if !r then p :: acc else acc) tbl [] in
@@ -1416,11 +1608,11 @@ let launch_ext ?engine ?(affine = true) ?backend ?trace mem prog (l : launch) =
   in
   let jobs = match engine with Some e -> Engine.jobs e | None -> 1 in
   let workers = match engine with Some e -> Engine.workers e | None -> 1 in
-  (* adaptive serial fallback (see [Simc.chunks_for]): launches smaller
+  (* adaptive serial fallback (see [chunks_for]): launches smaller
      than ~4 blocks per worker, or pools with a single worker domain,
      pay chunked recompilation and pool coordination without usable
      parallelism — those run sequentially *)
-  let nchunks = Simc.chunks_for ~jobs ~workers ~blocks in
+  let nchunks = chunks_for ~jobs ~workers ~blocks in
   let ranges =
     List.init nchunks (fun c ->
         (c * blocks / nchunks, ((c + 1) * blocks / nchunks) - 1))
@@ -1456,14 +1648,14 @@ let launch_ext ?engine ?(affine = true) ?backend ?trace mem prog (l : launch) =
   Trace.note trace "chunks" (Trace.Int nchunks);
   (stats, usage_to_host kernel l.l_args (List.sort_uniq compare reads, List.sort_uniq compare writes))
 
-let launch ?engine ?affine ?backend ?trace mem prog l =
-  fst (launch_ext ?engine ?affine ?backend ?trace mem prog l)
+let launch ?engine ?backend ?trace mem prog l =
+  fst (launch_ext ?engine ?backend ?trace mem prog l)
 
 let launch_with_usage = launch_ext
 
-let run_schedule ?engine ?affine ?backend ?trace mem prog =
+let run_schedule ?engine ?backend ?trace mem prog =
   List.filter_map
     (function
-      | Launch l -> Some (l, launch ?engine ?affine ?backend ?trace mem prog l)
+      | Launch l -> Some (l, launch ?engine ?backend ?trace mem prog l)
       | Copy_to_device _ | Copy_to_host _ -> None)
     prog.p_schedule

@@ -16,7 +16,7 @@
     divergence of conditionals and shared-memory hazards, which the
     profiler turns into the paper's performance metadata. *)
 
-type stats = Simc.stats = {
+type stats = {
   mutable global_read_bytes : int;
   mutable global_write_bytes : int;
   mutable flops : float;
@@ -44,18 +44,19 @@ exception
     message : string;
   }
 (** Out-of-bounds accesses, barrier divergence, unbound names, arity
-    errors. The same exception (physically: a rebinding of
-    {!Simc.Sim_error}) is raised by every execution backend. *)
+    errors. Every execution backend raises the same exception with the
+    same message (that of the lowest failing block). *)
 
 type backend =
-  | Auto  (** vectorized when the launch is eligible, affine otherwise *)
-  | Interpret  (** the reference interpreter ([affine:false]) *)
-  | Affine  (** lockstep with affine strength reduction (the default) *)
-  | Vector  (** whole-grid vectorized; falls back to [Affine] when the
-                launch is outside the provable fragment *)
-(** Execution backend selection. All backends produce bit-identical
-    memory, statistics and usage — backend choice is purely a
-    performance decision, which is what licenses [Auto] as a default. *)
+  | Auto  (** alias of [Affine] *)
+  | Interpret  (** the reference interpreter: no rewriting, plain closures *)
+  | Affine  (** compiled lockstep with affine strength reduction (the default) *)
+  | Vector  (** alias of [Affine] *)
+(** Execution backend selection. There are two execution paths, the
+    [Interpret] reference oracle and the compiled [Affine] path; [Auto]
+    and [Vector] are accepted names that run the [Affine] path. Both
+    paths produce bit-identical memory, statistics and usage — backend
+    choice is purely a performance decision. *)
 
 val backend_name : backend -> string
 (** ["auto"] / ["interp"] / ["affine"] / ["vector"]. *)
@@ -63,28 +64,21 @@ val backend_name : backend -> string
 val backend_of_string : string -> backend option
 (** Inverse of {!backend_name} (the CLI flag values). *)
 
-val selected_backend :
-  ?affine:bool -> ?backend:backend ->
-  Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> backend
-(** The concrete backend ({!Interpret}, {!Affine} or {!Vector}) a launch
-    with these options will execute on. Pure: runs the (static)
-    eligibility analysis only. *)
-
 val chunk_override : int option ref
-(** Test hook (shared with the vector backend): force the block-range
-    chunk count, bypassing the adaptive serial-fallback policy, so the
-    ordered-merge path can be exercised deterministically on single-core
-    hosts. Reset to [None] after use. *)
+(** Test hook: force the block-range chunk count, bypassing the
+    adaptive serial-fallback policy, so the ordered-merge path can be
+    exercised deterministically on single-core hosts. Reset to [None]
+    after use. *)
 
 val access_trace : (write:bool -> string -> int -> unit) option ref
 (** Test hook: when set, every in-bounds global-memory access taken on
-    the interpretive (non-affine) path reports its direction, array name
-    and linear element index. The optimized affine path does not trace —
-    run with [affine:false] (and no [engine]: the callback is invoked
-    from worker domains otherwise). Reset to [None] after use. *)
+    the interpretive path reports its direction, array name and linear
+    element index. The optimized affine path does not trace — run with
+    [~backend:Interpret] (and no [engine]: the callback is invoked from
+    worker domains otherwise). Reset to [None] after use. *)
 
 val launch :
-  ?engine:Kft_engine.Engine.t -> ?affine:bool -> ?backend:backend ->
+  ?engine:Kft_engine.Engine.t -> ?backend:backend ->
   ?trace:Kft_trace.Trace.t ->
   Memory.t -> Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> stats
 (** Execute one kernel launch against device memory, returning its
@@ -100,24 +94,19 @@ val launch :
     raises the same [Sim_error] (that of the lowest failing block) in
     either mode.
 
-    [affine] (default [true]) enables {!Affine} strength reduction of
-    index expressions before compilation; it is observation-preserving
-    (same values, same stats), only faster.
-
-    [backend] overrides the execution backend (see {!backend});
-    when absent, [affine] picks between the two lockstep modes as
-    before. [Auto]/[Vector] run the whole-grid vectorized backend when
-    the launch is in the provable fragment — results are bit-identical
-    whichever backend executes.
+    [backend] (default [Affine]) selects the execution path (see
+    {!backend}). Every backend but [Interpret] applies {!Affine}
+    strength reduction of index expressions before compilation; it is
+    observation-preserving (same values, same stats), only faster.
 
     [trace] records one [launch:<kernel>] span per call with block,
-    thread and read/write byte totals plus the executed backend name in
-    the canonical channel, and the block-chunk split in the side channel
-    (see {!Kft_trace.Trace}). The trace is only touched from the calling
-    (coordinator) domain. *)
+    thread and read/write byte totals plus the executed path
+    (["affine"] or ["interp"]) in the canonical channel, and the
+    block-chunk split in the side channel (see {!Kft_trace.Trace}). The
+    trace is only touched from the calling (coordinator) domain. *)
 
 val launch_with_usage :
-  ?engine:Kft_engine.Engine.t -> ?affine:bool -> ?backend:backend ->
+  ?engine:Kft_engine.Engine.t -> ?backend:backend ->
   ?trace:Kft_trace.Trace.t ->
   Memory.t -> Kft_cuda.Ast.program -> Kft_cuda.Ast.launch ->
   stats * (string list * string list)
@@ -128,7 +117,7 @@ val launch_with_usage :
     validate the static dependence analysis against. *)
 
 val run_schedule :
-  ?engine:Kft_engine.Engine.t -> ?affine:bool -> ?backend:backend ->
+  ?engine:Kft_engine.Engine.t -> ?backend:backend ->
   ?trace:Kft_trace.Trace.t ->
   Memory.t -> Kft_cuda.Ast.program -> (Kft_cuda.Ast.launch * stats) list
 (** Execute every [Launch] of the program's schedule in order ([Copy_*]

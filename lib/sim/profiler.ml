@@ -16,9 +16,9 @@ type run = {
   memory : Memory.t;
 }
 
-let profile_launch ?engine ?affine ?backend ?trace device mem prog l =
+let profile_launch ?engine ?backend ?trace device mem prog l =
   let kernel = find_kernel prog l.l_kernel in
-  let stats = Interp.launch ?engine ?affine ?backend ?trace mem prog l in
+  let stats = Interp.launch ?engine ?backend ?trace mem prog l in
   let env = Kft_analysis.Access.env_of_launch prog l in
   let cost = Kft_analysis.Cost.of_kernel kernel env in
   let regs_per_thread = Kft_analysis.Cost.estimate_registers kernel in
@@ -29,11 +29,11 @@ let profile_launch ?engine ?affine ?backend ?trace device mem prog l =
   let access = Kft_analysis.Access.analyze_result kernel env in
   { kernel = l.l_kernel; launch = l; stats; timing; regs_per_thread; cost; access }
 
-let profile_with_memory ?engine ?affine ?backend ?trace device mem prog =
+let profile_with_memory ?engine ?backend ?trace device mem prog =
   let profiles =
     List.filter_map
       (function
-        | Launch l -> Some (profile_launch ?engine ?affine ?backend ?trace device mem prog l)
+        | Launch l -> Some (profile_launch ?engine ?backend ?trace device mem prog l)
         | Copy_to_device _ | Copy_to_host _ -> None)
       prog.p_schedule
   in
@@ -43,16 +43,16 @@ let profile_with_memory ?engine ?affine ?backend ?trace device mem prog =
     memory = mem;
   }
 
-let profile ?engine ?affine ?backend ?trace ?layout ?(seed = 42) device prog =
+let profile ?engine ?backend ?trace ?layout ?(seed = 42) device prog =
   let mem = Memory.create ?layout prog.p_arrays in
   Memory.init_seeded mem ~seed;
-  profile_with_memory ?engine ?affine ?backend ?trace device mem prog
+  profile_with_memory ?engine ?backend ?trace device mem prog
 
-let verify ?engine ?affine ?backend ?trace ?(seed = 42) ?(tol = 1e-9) device ~original ~transformed =
+let verify ?engine ?backend ?trace ?(seed = 42) ?(tol = 1e-9) device ~original ~transformed =
   let run p =
     let mem = Memory.create p.p_arrays in
     Memory.init_seeded mem ~seed;
-    ignore (profile_with_memory ?engine ?affine ?backend ?trace device mem p);
+    ignore (profile_with_memory ?engine ?backend ?trace device mem p);
     mem
   in
   let m1 = run original and m2 = run transformed in

@@ -19,27 +19,26 @@ type run = {
 }
 
 val profile :
-  ?engine:Kft_engine.Engine.t -> ?affine:bool -> ?backend:Interp.backend ->
+  ?engine:Kft_engine.Engine.t -> ?backend:Interp.backend ->
   ?trace:Kft_trace.Trace.t -> ?layout:Memory.layout -> ?seed:int ->
   Kft_device.Device.t -> Kft_cuda.Ast.program -> run
 (** Allocate and seed device memory (default seed 42), then run the full
-    schedule. [engine] and [affine] are passed through to
-    {!Interp.launch}, as is [backend] (backend selection never changes
-    the profile — all backends are bit-identical — only how fast it is
-    produced). [layout] places the arrays by a liveness-driven overlay
+    schedule. [engine] and [backend] are passed through to
+    {!Interp.launch} (backend selection never changes the profile — the
+    backends are bit-identical — only how fast it is produced). [layout] places the arrays by a liveness-driven overlay
     (see {!Memory.layout}): statistics and timings are bit-identical,
     only the arena is smaller — use when the run's memory is discarded.
     [trace] records one span per launch. *)
 
 val profile_with_memory :
-  ?engine:Kft_engine.Engine.t -> ?affine:bool -> ?backend:Interp.backend ->
+  ?engine:Kft_engine.Engine.t -> ?backend:Interp.backend ->
   ?trace:Kft_trace.Trace.t ->
   Kft_device.Device.t -> Memory.t -> Kft_cuda.Ast.program -> run
 (** Run against caller-provided memory (mutated in place); used to
     compare two program versions from identical initial state. *)
 
 val verify :
-  ?engine:Kft_engine.Engine.t -> ?affine:bool -> ?backend:Interp.backend ->
+  ?engine:Kft_engine.Engine.t -> ?backend:Interp.backend ->
   ?trace:Kft_trace.Trace.t -> ?seed:int -> ?tol:float ->
   Kft_device.Device.t ->
   original:Kft_cuda.Ast.program -> transformed:Kft_cuda.Ast.program ->

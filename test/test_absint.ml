@@ -245,7 +245,7 @@ let prop_footprint_sound =
                         :: !violations);
               Fun.protect
                 ~finally:(fun () -> Kft_sim.Interp.access_trace := None)
-                (fun () -> ignore (Kft_sim.Interp.launch ~affine:false mem prog l)))
+                (fun () -> ignore (Kft_sim.Interp.launch ~backend:Kft_sim.Interp.Interpret mem prog l)))
             (launches prog);
           match !violations with
           | [] -> true

@@ -319,7 +319,7 @@ let prop_liveness_sound =
                             :: !violations);
                   Fun.protect
                     ~finally:(fun () -> Kft_sim.Interp.access_trace := None)
-                    (fun () -> ignore (Kft_sim.Interp.launch ~affine:false mem prog l)))
+                    (fun () -> ignore (Kft_sim.Interp.launch ~backend:Kft_sim.Interp.Interpret mem prog l)))
             prog.p_schedule;
           Kft_sim.Memory.release mem;
           match !violations with

@@ -421,31 +421,31 @@ let semantics_suite =
 
 module E = Kft_engine.Engine
 
-let run_at ~jobs ~affine prog =
+let run_at ?(jobs = 1) ?backend prog =
   let mem = Mem.create prog.Kft_cuda.Ast.p_arrays in
   Mem.init_seeded mem ~seed:17;
   let runs =
-    if jobs <= 1 then I.run_schedule ~affine mem prog
+    if jobs <= 1 then I.run_schedule ?backend mem prog
     else
-      E.with_engine ~jobs ~memo:false (fun e -> I.run_schedule ~engine:e ~affine mem prog)
+      E.with_engine ~jobs ~memo:false (fun e -> I.run_schedule ~engine:e ?backend mem prog)
   in
   (mem, List.map snd runs)
 
 (* the tentpole determinism property: final memory and every stats field
-   are bit-identical whatever the jobs setting and whether the affine
-   fast path is on — the optimized compilation is differentially tested
-   against the plain reference compilation *)
+   are bit-identical whatever the jobs setting and whichever backend
+   runs — the compiled affine path is differentially tested against the
+   plain reference interpreter *)
 let test_block_parallel_determinism () =
   let prog = Util.producer_consumer_program ~dims:(32, 16, 8) ~block:(16, 4, 1) () in
-  let ref_mem, ref_stats = run_at ~jobs:1 ~affine:false prog in
+  let ref_mem, ref_stats = run_at ~backend:I.Interpret prog in
   List.iter
-    (fun (jobs, affine) ->
-      let mem, stats = run_at ~jobs ~affine prog in
-      let label = Printf.sprintf "jobs=%d affine=%b" jobs affine in
+    (fun (jobs, backend) ->
+      let mem, stats = run_at ~jobs ~backend prog in
+      let label = Printf.sprintf "jobs=%d backend=%s" jobs (I.backend_name backend) in
       Alcotest.(check bool) (label ^ ": memory bit-identical") true
         (Mem.equal_within ~tol:0.0 ref_mem mem);
       Alcotest.(check bool) (label ^ ": stats identical") true (ref_stats = stats))
-    [ (1, true); (2, false); (2, true); (4, false); (4, true) ]
+    [ (1, I.Affine); (2, I.Interpret); (2, I.Affine); (4, I.Interpret); (4, I.Affine) ]
 
 let test_unknown_array () =
   let mem = Mem.create [ Util.arr3 dims "A" ] in
@@ -591,4 +591,158 @@ let parallel_suite =
     test_snapshot_restore_bit_identity;
     Alcotest.test_case "release lifecycle" `Quick test_release_lifecycle;
     Alcotest.test_case "arena pool recycles" `Quick test_pool_recycles;
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Execution backends: the Interpret oracle and the compiled Affine    *)
+(* path, with Auto and Vector as aliases of Affine                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_backend_names () =
+  List.iter
+    (fun b ->
+      Alcotest.(check bool)
+        (I.backend_name b ^ " round-trips") true
+        (I.backend_of_string (I.backend_name b) = Some b))
+    [ I.Auto; I.Interpret; I.Affine; I.Vector ];
+  Alcotest.(check bool) "unknown name rejected" true (I.backend_of_string "cuda" = None);
+  (* the aliases execute the affine path: bit-identical memory and stats *)
+  List.iter
+    (fun prog ->
+      let ref_mem, ref_stats = run_at ~backend:I.Affine prog in
+      List.iter
+        (fun (jobs, b) ->
+          let mem, stats = run_at ~jobs ~backend:b prog in
+          let label =
+            Printf.sprintf "%s@jobs=%d on %s" (I.backend_name b) jobs prog.p_name
+          in
+          Alcotest.(check bool) (label ^ " memory") true (Mem.equal_within ~tol:0.0 ref_mem mem);
+          Alcotest.(check bool) (label ^ " stats") true (stats = ref_stats))
+        [ (1, I.Auto); (4, I.Auto); (1, I.Vector); (4, I.Vector) ])
+    [ Util.quickstart_program (); Util.producer_consumer_program () ]
+
+(* forcing the chunk count exercises the ordered per-block merge even on
+   a single-core host (where the adaptive policy always picks 1 chunk) *)
+let test_chunked_merge () =
+  let prog = Util.quickstart_program () in
+  let ref_mem, ref_stats = run_at ~backend:I.Interpret prog in
+  Fun.protect
+    ~finally:(fun () -> I.chunk_override := None)
+    (fun () ->
+      I.chunk_override := Some 3;
+      List.iter
+        (fun backend ->
+          let mem, stats = run_at ~jobs:2 ~backend prog in
+          let label = I.backend_name backend ^ " 3-chunk merge" in
+          Alcotest.(check bool) (label ^ " memory") true (Mem.equal_within ~tol:0.0 ref_mem mem);
+          Alcotest.(check bool) (label ^ " stats") true (stats = ref_stats))
+        [ I.Interpret; I.Affine ])
+
+(* out-of-bounds faults must surface identically (same exception, same
+   message, lowest-failing-block semantics) whichever backend executes *)
+let test_error_parity () =
+  let src =
+    {|
+__global__ void oob(const double *A, double *B, int nx, int ny, int nz, double c) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  B[i + 100000] = c * A[0];
+}
+|}
+  in
+  let prog = one_kernel_prog src "oob" [ "A"; "B" ] 1.0 in
+  let l = Util.launch_of prog "oob" in
+  let msg backend =
+    let mem = Mem.create prog.p_arrays in
+    match I.launch ~backend mem prog l with
+    | (_ : I.stats) -> Alcotest.fail "expected Sim_error"
+    | exception I.Sim_error { kernel; message } -> (kernel, message)
+  in
+  Alcotest.(check bool) "same Sim_error from both backends" true
+    (msg I.Interpret = msg I.Affine)
+
+let test_usage_parity () =
+  let prog = Util.producer_consumer_program () in
+  let usage backend =
+    let mem = Mem.create prog.p_arrays in
+    Mem.init_seeded mem ~seed:42;
+    snd (I.launch_with_usage ~backend mem prog (Util.launch_of prog "produce"))
+  in
+  Alcotest.(check bool) "dynamic usage identical" true
+    (usage I.Interpret = usage I.Affine)
+
+(* the profiler sees the same byte counts (and all other stats) from
+   every backend on the quickstart chain *)
+let test_profiler_backend_agreement () =
+  let prog = Util.quickstart_program () in
+  let profiles backend =
+    (Kft_sim.Profiler.profile ~backend Util.device prog).Kft_sim.Profiler.profiles
+  in
+  let stats_of ps =
+    List.map
+      (fun (p : Kft_sim.Profiler.kernel_profile) ->
+        ( p.kernel,
+          p.stats.I.global_read_bytes,
+          p.stats.I.global_write_bytes,
+          p.stats.I.flops,
+          p.stats.I.warp_cond_evals ))
+      ps
+  in
+  let reference = stats_of (profiles I.Interpret) in
+  List.iter
+    (fun b ->
+      Alcotest.(check bool)
+        (Printf.sprintf "profiler byte counts agree on backend %s" (I.backend_name b))
+        true
+        (stats_of (profiles b) = reference))
+    [ I.Affine; I.Auto; I.Vector ]
+
+(* the trace records the path that actually ran, so the aliases show up
+   as "affine" *)
+let test_trace_backend () =
+  let prog = Util.quickstart_program () in
+  let rendered backend =
+    let trace = Kft_trace.Trace.create "t" in
+    let mem = Mem.create prog.p_arrays in
+    Mem.init_seeded mem ~seed:42;
+    ignore (I.launch ?backend ~trace mem prog (Util.launch_of prog "diffuse"));
+    Kft_trace.Trace.render_json trace
+  in
+  let records backend name =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s recorded as %s"
+         (Option.fold ~none:"default" ~some:I.backend_name backend) name)
+      true
+      (contains (rendered backend) (Printf.sprintf "\"backend\":\"%s\"" name))
+  in
+  records None "affine";
+  records (Some I.Affine) "affine";
+  records (Some I.Interpret) "interp";
+  records (Some I.Auto) "affine";
+  records (Some I.Vector) "affine"
+
+let test_memory_snapshot () =
+  let mem = Util.run_to_memory (Util.quickstart_program ()) in
+  let snap = Mem.snapshot mem in
+  let r1 = Mem.restore snap in
+  Alcotest.(check bool) "restore reproduces contents" true
+    (Mem.equal_within ~tol:0.0 mem r1);
+  Alcotest.(check bool) "names preserved" true (Mem.names mem = Mem.names r1);
+  Alcotest.(check bool) "dims preserved" true
+    (List.for_all (fun n -> Mem.dims mem n = Mem.dims r1 n) (Mem.names mem));
+  (* restores are independent: mutating one does not leak into the
+     snapshot or into a later restore *)
+  (Mem.get r1 "U").{0} <- 1234.5;
+  let r2 = Mem.restore snap in
+  Alcotest.(check bool) "snapshot unaffected by mutation" true
+    (Mem.equal_within ~tol:0.0 mem r2)
+
+let backend_suite =
+  [
+    Alcotest.test_case "backend names and aliases" `Quick test_backend_names;
+    Alcotest.test_case "chunked ordered merge" `Quick test_chunked_merge;
+    Alcotest.test_case "runtime error parity" `Quick test_error_parity;
+    Alcotest.test_case "dynamic usage parity" `Quick test_usage_parity;
+    Alcotest.test_case "profiler agrees across backends" `Quick test_profiler_backend_agreement;
+    Alcotest.test_case "executed backend recorded in trace" `Quick test_trace_backend;
+    Alcotest.test_case "memory snapshot/restore" `Quick test_memory_snapshot;
   ]
