@@ -401,12 +401,16 @@ let transform_run app_name device_name generations population jobs no_memo no_si
               report.verify_report.diagnostics;
             (match report.verified with
             | Ok () -> (
-                match (verify, Kft_verify.Verify.is_clean report.verify_report) with
-                | "fatal", false ->
-                    `Error
-                      ( false,
-                        Printf.sprintf "static verification found %d defects"
-                          (List.length report.verify_report.diagnostics) )
+                let launches =
+                  List.length
+                    (List.filter
+                       (function Kft_cuda.Ast.Launch _ -> true | _ -> false)
+                       report.transformed.p_schedule)
+                in
+                match
+                  (verify, Kft_verify.Verify.fatal_failure ~launches report.verify_report)
+                with
+                | "fatal", Some msg -> `Error (false, msg)
                 | _ -> `Ok ())
             | Error diffs ->
                 `Error

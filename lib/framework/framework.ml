@@ -264,16 +264,15 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   let member_cache : (string, (Canonical.member, string) Stdlib.result) Hashtbl.t =
     Hashtbl.create 64
   in
-  let launch_of_key p key =
-    let invs = (Ddg.build p).invocations in
-    (List.find (fun (i : Ddg.invocation) -> i.inv_key = key) invs).inv_launch
+  let launch_of_key invocations key =
+    (List.find (fun (i : Ddg.invocation) -> i.inv_key = key) invocations).inv_launch
   in
-  let cache_member source_prog key =
+  let cache_member source_prog invocations key =
     if not (Hashtbl.mem member_cache key) then begin
       let r =
         match
           Canonical.extract ~deep:config.codegen_options.deep_nest_strategy ~index:0 source_prog
-            (launch_of_key source_prog key)
+            (launch_of_key invocations key)
         with
         | m -> Ok m
         | exception Canonical.Not_canonical reason -> Error reason
@@ -282,13 +281,14 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
       Hashtbl.replace member_cache key r
     end
   in
-  List.iter (fun t -> cache_member prog t.invocation.inv_key) eligible;
+  List.iter (fun t -> cache_member prog graphs.invocations t.invocation.inv_key) eligible;
   (match (prog_fissioned, fission_plans) with
   | Some pf, plans ->
+      let invocations = (Ddg.build pf).invocations in
       List.iter
         (fun (_, (plan : Fission.plan)) ->
           List.iter
-            (fun (part : Fission.part) -> cache_member pf part.part_kernel.k_name)
+            (fun (part : Fission.part) -> cache_member pf invocations part.part_kernel.k_name)
             plan.parts)
         plans
   | None, _ -> ());
@@ -423,39 +423,21 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
             plan.p_shared_bytes bx by <= device.shared_mem_per_block
         | Error _ -> true)
   in
-  (* joint schedulability: expand OEG edges over the units actually
-     present in a solution (parts replace their fissioned original),
-     contract all groups at once and check acyclicity *)
+  (* joint schedulability over the units actually present in a solution
+     (parts replace their fissioned original) *)
   let parts_of =
     List.map
       (fun (orig, (plan : Fission.plan)) ->
         (orig, List.map (fun (p : Fission.part) -> p.part_kernel.k_name) plan.parts))
       fission_plans
   in
-  let oeg_edges = Kft_graph.Digraph.edges graphs.oeg in
-  let all_invocations = List.map (fun (i : Ddg.invocation) -> i.inv_key) graphs.invocations in
   let solution_feasible ~groups ~fissioned =
-    let expand k =
+    let units_of k =
       if List.mem k fissioned then
         match List.assoc_opt k parts_of with Some parts -> parts | None -> [ k ]
       else [ k ]
     in
-    let g = Kft_graph.Digraph.create () in
-    List.iter
-      (fun k -> List.iter (fun u -> Kft_graph.Digraph.ensure_node g ~key:u ()) (expand k))
-      all_invocations;
-    List.iter
-      (fun (a, b) ->
-        List.iter
-          (fun ua -> List.iter (fun ub -> Kft_graph.Digraph.add_edge g ua ub) (expand b))
-          (expand a))
-      oeg_edges;
-    let gid = Hashtbl.create 64 in
-    List.iteri
-      (fun i group -> List.iter (fun u -> Hashtbl.replace gid u (Printf.sprintf "g%d" i)) group)
-      groups;
-    let group_of k = match Hashtbl.find_opt gid k with Some x -> x | None -> "solo:" ^ k in
-    Kft_graph.Digraph.is_dag (Kft_graph.Digraph.quotient g ~group_of)
+    Ddg.groups_feasible graphs ~units_of groups
   in
   let problem =
     {
@@ -503,7 +485,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   let prog' =
     if chosen_plans = [] then prog else Fission.apply_to_program ~plans:chosen_plans prog
   in
-  let graphs' = Ddg.build prog' in
+  let graphs' = if chosen_plans = [] then graphs else Ddg.build prog' in
   let gid_of : (string, string) Hashtbl.t = Hashtbl.create 64 in
   List.iteri
     (fun i group -> List.iter (fun u -> Hashtbl.replace gid_of u (Printf.sprintf "g%d" i)) group)

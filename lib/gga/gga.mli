@@ -45,7 +45,8 @@ type problem = {
       (** host arrays touched per fission part (to decide which parts
           stay in the violating group) *)
   feasible : string list -> bool;
-      (** may this set of units be fused? (OEG quotient acyclicity) *)
+      (** may this set of units be fused? (contracting them leaves the OEG
+          acyclic) *)
   solution_feasible : groups:string list list -> fissioned:string list -> bool;
       (** joint schedulability of a whole solution: contracting every
           group simultaneously must leave the OEG acyclic (two

@@ -116,36 +116,42 @@ let find_cycle_among g remaining =
     assert false
   with Found c -> c
 
+(* ready nodes keyed by insertion index (unique per node) *)
+module Frontier = Set.Make (struct
+  type t = int * string
+
+  let compare (a, _) (b, _) = Int.compare a b
+end)
+
 (* Kahn's algorithm with a stable frontier: among ready nodes always pick
    the one with the smallest insertion index. *)
 let topo_sort g =
   let indeg = Hashtbl.create 64 in
-  List.iter (fun k -> Hashtbl.replace indeg k (List.length (preds g k))) (nodes g);
-  let ready () =
-    let best = ref None in
-    Hashtbl.iter
-      (fun k d ->
-        if d = 0 then
-          match !best with
-          | Some b when (node g b).order < (node g k).order -> ()
-          | _ -> best := Some k)
-      indeg;
-    !best
-  in
+  let ready = ref Frontier.empty in
+  List.iter
+    (fun k ->
+      let n = node g k in
+      let d = List.length n.preds in
+      Hashtbl.replace indeg k d;
+      if d = 0 then ready := Frontier.add (n.order, k) !ready)
+    (nodes g);
   let rec loop acc =
-    match ready () with
+    match Frontier.min_elt_opt !ready with
     | None ->
         if Hashtbl.length indeg = 0 then List.rev acc
         else
           (* remaining nodes all sit on cycles; report one *)
           let remaining = Hashtbl.fold (fun k _ l -> k :: l) indeg [] in
           raise (Cycle (find_cycle_among g remaining))
-    | Some k ->
+    | Some ((_, k) as e) ->
+        ready := Frontier.remove e !ready;
         Hashtbl.remove indeg k;
         List.iter
           (fun s ->
             match Hashtbl.find_opt indeg s with
-            | Some d -> Hashtbl.replace indeg s (d - 1)
+            | Some d ->
+                Hashtbl.replace indeg s (d - 1);
+                if d = 1 then ready := Frontier.add ((node g s).order, s) !ready
             | None -> ())
           (succs g k);
         loop (k :: acc)

@@ -125,6 +125,19 @@ let merge a b =
   }
 
 let is_clean r = r.diagnostics = []
+
+let fatal_failure ~launches r =
+  let unchecked () =
+    Printf.sprintf "%d of %d launches unchecked" (max 0 (launches - r.stats.launches_checked))
+      launches
+  in
+  let defects () = Printf.sprintf "static verification found %d defects" (List.length r.diagnostics) in
+  match (r.diagnostics, r.complete) with
+  | [], true -> None
+  | [], false -> Some ("static verification incomplete: " ^ unchecked ())
+  | _, true -> Some (defects ())
+  | _, false -> Some (defects () ^ " and is incomplete: " ^ unchecked ())
+
 let default_budget = 10_000_000
 
 (* ------------------------------------------------------------------ *)

@@ -133,6 +133,12 @@ val is_clean : report -> bool
 (** No diagnostics at all (engine notes included: an advisory the engine
     could not resolve statically is not a clean bill). *)
 
+val fatal_failure : launches:int -> report -> string option
+(** Why a fatal-mode run fails on this report of a program with
+    [launches] launches: its defects, or an incomplete analysis with the
+    count of launches left unchecked. [None] when the report is clean and
+    complete. *)
+
 val default_budget : int
 (** Walker events per walked launch (10 M). *)
 

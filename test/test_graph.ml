@@ -160,6 +160,57 @@ let prop_topo_respects_edges =
         (fun (a, b) -> a = b || List.assoc (string_of_int (min a b)) pos < List.assoc (string_of_int (max a b)) pos)
         pairs)
 
+(* reference stable Kahn sort: repeatedly take the earliest-inserted node
+   whose predecessors are all placed; [None] when some nodes never become
+   ready (a cycle) *)
+let reference_topo g =
+  let rec go placed acc remaining =
+    match
+      List.find_opt
+        (fun k -> List.for_all (fun p -> List.mem p placed) (G.preds g k))
+        remaining
+    with
+    | Some k -> go (k :: placed) (k :: acc) (List.filter (( <> ) k) remaining)
+    | None -> if remaining = [] then Some (List.rev acc) else None
+  in
+  go [] [] (G.nodes g)
+
+(* random graph on 12 nodes inserted in a shuffled order; [dag] orients
+   every edge from the smaller to the larger label, otherwise edges keep
+   their drawn direction and a 3-cycle is added *)
+let random_graph ~dag (perm, pairs) =
+  let g = G.create () in
+  List.iter (fun i -> G.add_node g ~key:(string_of_int i) ()) perm;
+  let edge a b = if a <> b then G.add_edge g (string_of_int a) (string_of_int b) in
+  List.iter (fun (a, b) -> if dag then edge (min a b) (max a b) else edge a b) pairs;
+  if not dag then List.iter (fun (a, b) -> edge a b) [ (3, 7); (7, 11); (11, 3) ];
+  g
+
+let graph_arb =
+  QCheck.(
+    pair
+      (make ~print:Print.(list int) Gen.(shuffle_l (List.init 12 Fun.id)))
+      (list_of_size Gen.(int_bound 30) (pair (int_bound 11) (int_bound 11))))
+
+let prop_topo_matches_reference =
+  QCheck.Test.make ~name:"topo_sort = reference stable Kahn sort on DAGs" ~count:200 graph_arb
+    (fun input ->
+      let g = random_graph ~dag:true input in
+      Some (G.topo_sort g) = reference_topo g)
+
+let prop_topo_cycle_matches_reference =
+  QCheck.Test.make ~name:"topo_sort and the reference both reject cyclic graphs" ~count:200
+    graph_arb (fun input ->
+      let g = random_graph ~dag:false input in
+      reference_topo g = None
+      &&
+      match G.topo_sort g with
+      | (_ : string list) -> false
+      | exception G.Cycle cycle ->
+          (* the witness is a real cycle *)
+          cycle <> []
+          && List.for_all2 (G.mem_edge g) cycle (List.tl cycle @ [ List.hd cycle ]))
+
 (* property: components partition the node set *)
 let prop_components_partition =
   QCheck.Test.make ~name:"components partition nodes" ~count:100
@@ -199,4 +250,6 @@ let suite =
     Alcotest.test_case "copy independence" `Quick test_copy_independent;
     QCheck_alcotest.to_alcotest prop_topo_respects_edges;
     QCheck_alcotest.to_alcotest prop_components_partition;
+    QCheck_alcotest.to_alcotest prop_topo_matches_reference;
+    QCheck_alcotest.to_alcotest prop_topo_cycle_matches_reference;
   ]

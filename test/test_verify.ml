@@ -230,6 +230,19 @@ let test_budget_exhaustion () =
   Alcotest.(check int) "an exhausted launch is not counted as checked" 0
     r.stats.launches_checked
 
+(* the fatal gate fails an incomplete report even when it carries no
+   diagnostic, and names how many launches went unchecked *)
+let test_fatal_failure () =
+  let stats n = { V.empty_report.stats with launches_checked = n } in
+  Alcotest.(check (option string)) "clean and complete passes" None
+    (V.fatal_failure ~launches:44 { V.empty_report with stats = stats 44 });
+  Alcotest.(check (option string)) "incomplete without diagnostics fails"
+    (Some "static verification incomplete: 3 of 44 launches unchecked")
+    (V.fatal_failure ~launches:44 { V.empty_report with complete = false; stats = stats 41 });
+  Alcotest.(check (option string)) "defects and incompleteness are both named"
+    (Some "static verification found 1 defects and is incomplete: 1 of 1 launches unchecked")
+    (V.fatal_failure ~launches:1 (V.verify_program ~budget:100 (walked_program ())))
+
 (* The walker's duplicate-write tolerance: threads that differ only
    along a thread axis the kernel never reads replicate a write, and
    that is not a race; two threads of one block that differ along an
@@ -654,6 +667,7 @@ let suite =
       test_order_violation;
     Alcotest.test_case "clean producer/consumer program verifies clean" `Quick
       test_clean_program_is_clean;
+    Alcotest.test_case "fatal gate fails incomplete reports" `Quick test_fatal_failure;
     Alcotest.test_case "six application sources verify clean" `Quick test_apps_sources_clean;
     Alcotest.test_case "pipeline output validates under the fatal gate" `Quick
       test_pipeline_validates;
