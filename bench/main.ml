@@ -68,8 +68,13 @@ let mode_name = function
   | Budget40 `None_ -> "no-filter@40gen"
   | Paper_budget -> "paper@500x100"
 
+(* one profile cache shared by every transform of this process: the
+   paper modes re-transform the same apps, so their source programs (and
+   any transformed program two modes agree on) are simulated once *)
+let sim_cache = Kft_metadata.Metadata.Sim_cache.create ()
+
 let config_of_mode mode =
-  let base = { F.default_config with device } in
+  let base = { F.default_config with device; sim_cache = Some sim_cache } in
   match mode with
   | Fusion_only ->
       { base with
@@ -701,7 +706,7 @@ let sim () =
       {
         F.default_config with
         device;
-        sim_cache = Some (Kft_metadata.Metadata.Sim_cache.create ());
+        sim_cache = Some sim_cache;
         gga_params = gga ~generations:20 ~population:12 ();
       }
     in
@@ -816,76 +821,6 @@ let assert_alloc_budget () =
   Printf.printf "  %-16s steady-state %.3f words/thread (budget %.1f)\n%!" "compiled-affine"
     per_thread alloc_budget_words_per_thread
 
-(* liveness-driven arena overlay (kft_schedflow): per application, pool
-   high-water of a profiled run with the packed layout vs under the
-   overlay, where arrays whose live intervals never overlap share slots.
-   The overlay is only sound for runs whose final memory is discarded;
-   every per-kernel statistic must be — and is asserted here to be —
-   bit-identical to the packed run, across execution backends and
-   worker counts. *)
-let overlay_bench () =
-  print_endline "== liveness-driven arena overlay (kft_schedflow, seed 42) ==";
-  print_endline
-    "application   packed-Kcells  overlay-Kcells  high-water saving   stats";
-  let module Sf = Kft_schedflow.Schedflow in
-  let run ?engine ?backend ?layout p =
-    Kft_sim.Memory.Pool.reset ();
-    let r = Kft_sim.Profiler.profile ?engine ?backend ?layout device p in
-    let sts =
-      List.map
-        (fun (kp : Kft_sim.Profiler.kernel_profile) -> (kp.kernel, kp.stats))
-        r.profiles
-    in
-    let hw = (Kft_sim.Memory.Pool.stats ()).Kft_sim.Memory.Pool.high_water in
-    Kft_sim.Memory.release r.memory;
-    (sts, hw)
-  in
-  List.iter
-    (fun name ->
-      let p = (app name).program in
-      let packed =
-        List.fold_left (fun acc a -> acc + Kft_cuda.Ast.array_cells a) 0 p.Kft_cuda.Ast.p_arrays
-      in
-      match Sf.arena_layout (Sf.analyze p) with
-      | None ->
-          Printf.printf "%-13s %13d %15s\n%!" name (packed / 1000) "(no disjoint liveness)"
-      | Some layout ->
-          let sts_plain, hw_plain = run p in
-          let sts_ovl, hw_ovl = run ~layout p in
-          (* bit-identity sweep: the overlay run must reproduce the packed
-             run's per-kernel stats on every backend, sequential and
-             block-parallel *)
-          let combos =
-            [
-              ("interpret", 1, Kft_sim.Interp.Interpret);
-              ("compiled-affine-j4", 4, Kft_sim.Interp.Affine);
-            ]
-          in
-          let identical =
-            sts_plain = sts_ovl
-            && List.for_all
-                 (fun (label, jobs, backend) ->
-                   let sts, _ =
-                     if jobs <= 1 then run ~backend ~layout p
-                     else
-                       Engine.with_engine ~jobs ~memo:false (fun e ->
-                           run ~engine:e ~backend ~layout p)
-                   in
-                   let ok = sts = sts_plain in
-                   if not ok then
-                     Printf.eprintf "[bench] mem: overlay stats diverged on %s/%s\n%!" name
-                       label;
-                   ok)
-                 combos
-          in
-          if not identical then exit 1;
-          Printf.printf "%-13s %13d %15d %11.1f%%        bit-identical\n%!" name
-            (hw_plain / 1000)
-            (hw_ovl / 1000)
-            (100.0 *. float_of_int (hw_plain - hw_ovl) /. float_of_int hw_plain))
-    all_app_names;
-  print_newline ()
-
 let mem_bench () =
   print_endline "== memory substrate: GC allocation + arena pool (jobs=1) ==";
   print_endline "application   config           minor-Mwords  words/thread  pool-hit%";
@@ -913,8 +848,7 @@ let mem_bench () =
      "  pool since start: %d requests, %d recycled, %d fresh, high water %.1f Mcells\n%!"
      s.requests s.hits s.misses
      (float_of_int s.high_water /. 1e6));
-  print_newline ();
-  overlay_bench ()
+  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Smoke: one tiny transformation per bench mode (tier-1 rot check)    *)

@@ -291,9 +291,9 @@ let list_apps () =
         a.description)
     (transform_apps ())
 
-let transform_run app_name device_name generations population jobs no_memo no_sim_cache
-    no_fission no_tuning expert_codegen filter verify seed out_dir emit_cuda quiet list
-    trace_file chrome_file backend_name no_schedflow =
+let transform_run app_name device_name generations population jobs no_memo no_fission
+    no_tuning expert_codegen filter verify seed out_dir emit_cuda quiet list trace_file
+    chrome_file backend_name =
   if list then begin
     list_apps ();
     `Ok ()
@@ -339,9 +339,6 @@ let transform_run app_name device_name generations population jobs no_memo no_si
                   | "fatal" -> Kft_framework.Framework.Verify_fatal
                   | _ -> Kft_framework.Framework.Verify_advisory);
                 codegen_options;
-                sim_cache =
-                  (if no_sim_cache then None
-                   else Kft_framework.Framework.default_config.sim_cache);
                 seed;
                 gga_params =
                   {
@@ -352,7 +349,6 @@ let transform_run app_name device_name generations population jobs no_memo no_si
                     seed;
                   };
                 backend;
-                schedflow = not no_schedflow;
               }
             in
             let trace =
@@ -432,13 +428,10 @@ let transform_cmd =
     Arg.(value & opt int 40 & info [ "population" ] ~doc:"GGA population size (paper default: 100).")
   in
   let jobs =
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains shared by the GGA search and the simulator (profiling, verification and usage pre-runs fan each launch's thread blocks over the pool). Results are bit-identical at any worker count (the paper uses 8 Xeon cores).")
+    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains shared by the GGA search and the simulator (the baseline, fission pre-run and transformed profiles fan each launch's thread blocks over the pool). Results are bit-identical at any worker count (the paper uses 8 Xeon cores).")
   in
   let no_memo =
     Arg.(value & flag & info [ "no-memo" ] ~doc:"Disable the genome-keyed fitness memo cache (ablation; results are unchanged, only slower).")
-  in
-  let no_sim_cache =
-    Arg.(value & flag & info [ "no-sim-cache" ] ~doc:"Disable the keyed profile cache that replays repeated simulations (ablation; results are unchanged, only slower).")
   in
   let no_fission = Arg.(value & flag & info [ "no-fission" ] ~doc:"Disable lazy kernel fission.") in
   let no_tuning =
@@ -471,15 +464,12 @@ let transform_cmd =
   let backend_name =
     Arg.(value & opt string "affine" & info [ "backend" ] ~docv:"interp|affine" ~doc:"Simulator execution backend for every pipeline run: $(b,interp) is the reference interpreter, $(b,affine) the compiled lockstep path with affine strength reduction. Both produce bit-identical results. $(b,auto) and $(b,vector) are accepted aliases of $(b,affine).")
   in
-  let no_schedflow =
-    Arg.(value & flag & info [ "no-schedflow" ] ~doc:"Disable the whole-schedule dataflow stage: no schedflow stage report, no liveness-driven arena overlay for the fission pre-run, and no schedule-level lint rules.")
-  in
   let term =
     Term.ret
       Term.(
         const transform_run $ app_arg $ device $ generations $ population $ jobs $ no_memo
-        $ no_sim_cache $ no_fission $ no_tuning $ expert $ filter $ verify $ seed $ out_dir
-        $ emit_cuda $ quiet $ list $ trace_file $ chrome_file $ backend_name $ no_schedflow)
+        $ no_fission $ no_tuning $ expert $ filter $ verify $ seed $ out_dir $ emit_cuda
+        $ quiet $ list $ trace_file $ chrome_file $ backend_name)
   in
   Cmd.v
     (Cmd.info "kft-transform" ~version:"1.0.0"

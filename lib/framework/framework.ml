@@ -26,7 +26,6 @@ type config = {
   verify_tolerance : float;
   sim_cache : Meta.Sim_cache.t option;
   backend : Kft_sim.Interp.backend;
-  schedflow : bool;
 }
 
 let default_config =
@@ -38,9 +37,8 @@ let default_config =
     verify_mode = Verify_advisory;
     seed = 42;
     verify_tolerance = 1e-9;
-    sim_cache = Some Kft_metadata.Metadata.Sim_cache.global;
+    sim_cache = None;
     backend = Kft_sim.Interp.Affine;
-    schedflow = true;
   }
 
 type hooks = {
@@ -67,7 +65,7 @@ type report = {
   baseline : Kft_sim.Profiler.run;
   metadata : Meta.t;
   graphs : Ddg.t;
-  schedflow : Schedflow.t option;
+  schedflow : Schedflow.t;
   targets : target_info list;
   fission_plans : (string * Fission.plan) list;
   gga : Gga.result option;
@@ -161,9 +159,8 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   let backend = config.backend in
   let cache_stats_before = Option.map Meta.Sim_cache.stats cache in
   let pool_stats_before = Kft_sim.Memory.Pool.stats () in
-  (* stage 1: metadata (simulation runs go through the profile cache, so
-     re-transforming a program — or verifying against it later — replays
-     the stored run instead of re-simulating) *)
+  (* stage 1: metadata. The baseline run is kept: its final memory is
+     the reference for output verification below. *)
   let meta, baseline =
     Trace.with_span trace "gather" (fun () ->
         let meta, baseline = Meta.gather ?cache ?engine ~backend ?trace ~seed:config.seed device prog in
@@ -183,21 +180,18 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   in
   (* stage 3b: whole-schedule dataflow / liveness. The array-granularity
      DDG complements [Ddg.build]'s invocation graph with element regions
-     where the abstract domain proves them, and its liveness intervals
-     drive the arena overlay of the fission pre-run below. *)
+     where the abstract domain proves them. *)
   let schedflow =
-    if not config.schedflow then None
-    else
-      Trace.with_span trace "schedflow" (fun () ->
-          let sf = Schedflow.analyze prog in
-          Trace.add trace "ops" sf.Schedflow.stats.Schedflow.st_ops;
-          Trace.add trace "launches" sf.stats.st_launches;
-          Trace.add trace "deps" sf.stats.st_deps;
-          Trace.add trace "deps_refined" sf.stats.st_deps_refined;
-          Trace.add trace "regions_proved" sf.stats.st_regions_proved;
-          Trace.add trace "regions_fallback" sf.stats.st_regions_fallback;
-          Trace.add trace "issues" (List.length sf.Schedflow.issues);
-          Some sf)
+    Trace.with_span trace "schedflow" (fun () ->
+        let sf = Schedflow.analyze prog in
+        Trace.add trace "ops" sf.Schedflow.stats.Schedflow.st_ops;
+        Trace.add trace "launches" sf.stats.st_launches;
+        Trace.add trace "deps" sf.stats.st_deps;
+        Trace.add trace "deps_refined" sf.stats.st_deps_refined;
+        Trace.add trace "regions_proved" sf.stats.st_regions_proved;
+        Trace.add trace "regions_fallback" sf.stats.st_regions_fallback;
+        Trace.add trace "issues" (List.length sf.Schedflow.issues);
+        sf)
   in
   let targets, eligible =
     Trace.with_span trace "filter" (fun () ->
@@ -240,19 +234,9 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         let meta_fissioned =
           Option.map
             (fun p ->
-              (* only the metadata survives this pre-step, so the run
-                 qualifies for the liveness-driven arena overlay: arrays
-                 whose live intervals never overlap share storage, and
-                 the discarded arena is smaller. Stats and timings are
-                 bit-identical either way (see [Memory.layout]). *)
-              let layout =
-                if config.schedflow then Schedflow.arena_layout (Schedflow.analyze p) else None
-              in
-              let m, grun =
-                Meta.gather ?cache ?engine ~backend ?trace ?layout ~seed:config.seed device p
-              in
-              (* recycle the profiled run's arena instead of waiting for
-                 the GC *)
+              let m, grun = Meta.gather ?cache ?engine ~backend ?trace ~seed:config.seed device p in
+              (* only the metadata survives this pre-step: recycle the
+                 profiled run's arena instead of waiting for the GC *)
               Kft_sim.Memory.release grun.Kft_sim.Profiler.memory;
               m)
             prog_fissioned
@@ -602,12 +586,13 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
     Trace.with_span trace "profile-transformed" (fun () ->
         Meta.profile ?cache ?engine ~backend ?trace ~seed:config.seed device transformed)
   in
-  (* both programs are now cached, so output verification costs two cache
-     hits rather than two fresh simulations *)
+  (* output verification compares the final memories of the two runs
+     already held: both started from the same seeded memory, so this is
+     [Profiler.verify] without re-simulating either program *)
   let verified =
     Trace.with_span trace "output-verify" (fun () ->
-        Meta.verify ?cache ?engine ~backend ?trace ~seed:config.seed
-          ~tol:config.verify_tolerance device ~original:prog ~transformed)
+        Kft_sim.Profiler.compare ~tol:config.verify_tolerance baseline.memory
+          transformed_run.memory)
   in
   (* lint the emitted program; the measured per-kernel traffic from the
      profile run feeds the footprint-drift cross-check *)
@@ -629,11 +614,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         (* schedule-level rules (dead-array / redundant-copy /
            transient-global) join the per-kernel findings in the same
            normalized order *)
-        let fs =
-          if config.schedflow then
-            Kft_absint.Lint.normalize (fs @ Schedflow.lint_program transformed)
-          else fs
-        in
+        let fs = Kft_absint.Lint.normalize (fs @ Schedflow.lint_program transformed) in
         List.iter (fun (rule, n) -> Trace.add trace rule n) (Kft_absint.Lint.rule_counts fs);
         Trace.add trace "warnings" (Kft_absint.Lint.warnings fs);
         Trace.add trace "infos" (Kft_absint.Lint.infos fs);
@@ -750,17 +731,15 @@ let stage_report r =
   List.iter
     (fun (a, n) -> p "  redundant instances added for multi-writer array %s (%d copies)" a n)
     r.graphs.versioned_arrays;
-  (match r.schedflow with
-  | None -> ()
-  | Some sf ->
-      let s = sf.Schedflow.stats in
-      p "  schedflow: %d ops (%d launches), %d arrays, %d deps (%d refined away by proved regions)"
-        s.Schedflow.st_ops s.st_launches s.st_arrays s.st_deps s.st_deps_refined;
-      p "  schedflow regions: %d proved, %d whole-array fallback; %d dataflow issue%s"
-        s.st_regions_proved s.st_regions_fallback
-        (List.length sf.Schedflow.issues)
-        (if List.length sf.Schedflow.issues = 1 then "" else "s");
-      List.iter (fun i -> p "    %s" (Schedflow.pp_issue i)) sf.Schedflow.issues);
+  (let sf = r.schedflow in
+   let s = sf.Schedflow.stats in
+   p "  schedflow: %d ops (%d launches), %d arrays, %d deps (%d refined away by proved regions)"
+     s.Schedflow.st_ops s.st_launches s.st_arrays s.st_deps s.st_deps_refined;
+   p "  schedflow regions: %d proved, %d whole-array fallback; %d dataflow issue%s"
+     s.st_regions_proved s.st_regions_fallback
+     (List.length sf.Schedflow.issues)
+     (if List.length sf.Schedflow.issues = 1 then "" else "s");
+   List.iter (fun i -> p "    %s" (Schedflow.pp_issue i)) sf.Schedflow.issues);
   p "";
   p "== stage 4: GGA search ==";
   (match r.gga with

@@ -33,26 +33,20 @@ type config = {
   seed : int;
   verify_tolerance : float;
   sim_cache : Kft_metadata.Metadata.Sim_cache.t option;
-      (** profile cache for every simulation the pipeline performs
-          (gathering, the fissioned-variant run, the transformed run and
-          output verification); [None] disables caching *)
+      (** profile cache for the three simulations the pipeline performs
+          (gathering, the fissioned-variant run and the transformed
+          run). One transform runs each of them once, so a cache only
+          pays off when it is shared across transforms; [None] (the
+          default) simulates every run afresh *)
   backend : Kft_sim.Interp.backend;
       (** simulator execution backend for those runs. Backends are
           bit-identical, so this only affects pipeline wall time; the
           default is {!Kft_sim.Interp.Affine}. *)
-  schedflow : bool;
-      (** run the whole-schedule dataflow analysis
-          ({!Kft_schedflow.Schedflow}): a [schedflow] stage after DDG
-          construction, a liveness-driven arena overlay for the
-          discarded fission pre-run, and the schedule-level lint rules
-          merged into [lint_findings]. On by default; [false] restores
-          the previous pipeline exactly. *)
 }
 
 val default_config : config
 (** K20X, the paper's GGA defaults, automated codegen, automated
-    filtering, advisory static verification, the process-wide
-    {!Kft_metadata.Metadata.Sim_cache.global} profile cache and the
+    filtering, advisory static verification, no profile cache and the
     {!Kft_sim.Interp.Affine} execution backend. *)
 
 type hooks = {
@@ -76,11 +70,10 @@ type report = {
   baseline : Kft_sim.Profiler.run;
   metadata : Kft_metadata.Metadata.t;
   graphs : Kft_ddg.Ddg.t;
-  schedflow : Kft_schedflow.Schedflow.t option;
+  schedflow : Kft_schedflow.Schedflow.t;
       (** whole-schedule dataflow analysis of the source program
           (liveness intervals, array-granularity dependences, read-
-          before-write / dead-store issues); [None] when
-          [config.schedflow] is [false] *)
+          before-write / dead-store issues) *)
   targets : target_info list;
   fission_plans : (string * Kft_fission.Fission.plan) list;
       (** lazy-fission pre-step: plan per fissionable target kernel *)
@@ -92,6 +85,8 @@ type report = {
   transformed_run : Kft_sim.Profiler.run;
   speedup : float;
   verified : (unit, (string * float) list) result;
+      (** {!Kft_sim.Profiler.compare} of [baseline] and
+          [transformed_run] final memories at [config.verify_tolerance] *)
   verify_report : Kft_verify.Verify.report;
       (** static verification of the emitted kernels plus translation
           validation of every fused group ({!Kft_verify.Verify.validate});
@@ -100,7 +95,8 @@ type report = {
   lint_findings : Kft_absint.Lint.finding list;
       (** [kft lint] over the emitted program, with the measured
           per-kernel global traffic of [transformed_run] feeding the
-          footprint-drift cross-check; always computed (cheap, pure) *)
+          footprint-drift cross-check, plus the schedule-level rules of
+          {!Kft_schedflow.Schedflow.lint}; always computed (cheap, pure) *)
   rejected_groups : (string * string) list;
       (** (fused kernel, reason) pairs for groups the fatal gate split
           back into singletons; always [] outside {!Verify_fatal} *)
@@ -124,15 +120,17 @@ val transform :
   Kft_cuda.Ast.program -> report
 (** Run the full pipeline. The transformed program's output is verified
     against the original on the simulator (the paper verified every
-    run); [speedup] is original/transformed modeled time.
+    run) by comparing the final memories of the baseline and
+    transformed runs, which start from the same seeded memory; [speedup]
+    is original/transformed modeled time.
 
     [engine] parallelizes two phases over its domain pool: the GGA
     search (stage 4) evaluates each generation's population in parallel
     with its memoization policy deciding whether identical genomes are
     re-scored (see {!Kft_engine.Engine} and [Gga.run ?engine]), and
     every simulation the pipeline runs — metadata gathering, the
-    fissioned-variant run, the transformed run and output verification —
-    executes its thread blocks in parallel ([Interp.launch ?engine]).
+    fissioned-variant run and the transformed run — executes its thread
+    blocks in parallel ([Interp.launch ?engine]).
     Both are deterministic: the search result, the profiles and the
     simulated memory — and therefore the whole transformation — are
     bit-identical at any worker count. Defaults to sequential evaluation

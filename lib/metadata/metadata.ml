@@ -88,8 +88,6 @@ module Sim_cache = struct
 
   let create () : t = Cache.create ()
 
-  let global : t = create ()
-
   let stats : t -> Cache.stats = Cache.stats
 
   let clear : t -> unit = Cache.clear
@@ -134,56 +132,29 @@ module Sim_cache = struct
     }
 end
 
-let profile ?cache ?engine ?backend ?trace ?layout ?(seed = 42) device prog =
+let profile ?cache ?engine ?backend ?trace ?(seed = 42) device prog =
   (* cache attribution is per profiled program: hit/miss counters are a
      pure function of the call sequence, so they stay in the canonical
-     trace channel (byte-stable given a fresh cache per run) *)
+     trace channel *)
   Kft_trace.Trace.with_span trace ("profile:" ^ prog.p_name) @@ fun () ->
   match cache with
-  | None -> Kft_sim.Profiler.profile ?engine ?backend ?trace ?layout ~seed device prog
+  | None -> Kft_sim.Profiler.profile ?engine ?backend ?trace ~seed device prog
   | Some c -> (
-      (* an overlay layout shares arena cells, so its snapshots are not
-         interchangeable with packed ones: the key carries a verdict tag
-         derived from the layout so each placement caches separately *)
-      let tag =
-        match layout with
-        | None -> Sim_cache.repr_tag
-        | Some l ->
-            Sim_cache.repr_tag ^ "+schedflow-overlay-v1:"
-            ^ Digest.to_hex (Digest.string (Marshal.to_string l []))
-      in
-      let key = Sim_cache.key ~tag ~seed device prog in
+      let key = Sim_cache.key ~seed device prog in
       match Sim_cache.Cache.find c key with
       | Some entry ->
           Kft_trace.Trace.add trace "sim_cache_hits" 1;
           Sim_cache.run_of_entry entry
       | None ->
           Kft_trace.Trace.add trace "sim_cache_misses" 1;
-          let run = Kft_sim.Profiler.profile ?engine ?backend ?trace ?layout ~seed device prog in
+          let run = Kft_sim.Profiler.profile ?engine ?backend ?trace ~seed device prog in
           (* the cache holds a private snapshot: callers are free to
              mutate the run they got back without corrupting future hits *)
           Sim_cache.Cache.add c key (Sim_cache.entry_of_run run);
           run)
 
-let verify ?cache ?engine ?backend ?trace ?(seed = 42) ?(tol = 1e-9) device ~original ~transformed =
-  match cache with
-  | None -> Kft_sim.Profiler.verify ?engine ?backend ?trace ~seed ~tol device ~original ~transformed
-  | Some _ ->
-      let m1 = (profile ?cache ?engine ?backend ?trace ~seed device original).Kft_sim.Profiler.memory in
-      let m2 = (profile ?cache ?engine ?backend ?trace ~seed device transformed).Kft_sim.Profiler.memory in
-      let diffs =
-        List.filter
-          (fun (n, d) -> Kft_sim.Memory.mem m1 n && Kft_sim.Memory.mem m2 n && d > tol)
-          (Kft_sim.Memory.max_abs_diff m1 m2)
-      in
-      (* whether freshly simulated or restored from a snapshot, both
-         memories are private to this verification — recycle them *)
-      Kft_sim.Memory.release m1;
-      Kft_sim.Memory.release m2;
-      if diffs = [] then Ok () else Error diffs
-
-let gather ?cache ?engine ?backend ?trace ?layout ?(seed = 42) device prog =
-  let run = profile ?cache ?engine ?backend ?trace ?layout ~seed device prog in
+let gather ?cache ?engine ?backend ?trace ?(seed = 42) device prog =
+  let run = profile ?cache ?engine ?backend ?trace ~seed device prog in
   (* map: host array -> kernels touching it *)
   let array_users : (string, string list) Hashtbl.t = Hashtbl.create 32 in
   List.iter

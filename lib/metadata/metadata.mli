@@ -59,15 +59,19 @@ module Sim_cache : sig
       the final memory as a packed {!Kft_sim.Memory.snapshot}; a hit
       replays via [Array.blit] restore plus fresh stats records, so a
       replayed profile is bit-identical to the original run and
-      mutation-safe. *)
+      mutation-safe.
+
+      One transform simulates each program it builds once (output
+      verification compares the runs it already holds), so a cold
+      transform hits its own cache only when code generation returns a
+      program it already simulated. A cache pays off when the caller
+      shares it across transforms of the same programs — e.g. the
+      bench's paper modes, which re-transform each app under several
+      configurations. There is no process-wide default. *)
 
   type t
 
   val create : unit -> t
-
-  val global : t
-  (** A process-wide cache, shared by default across framework stages and
-      bench modes. *)
 
   val stats : t -> Kft_engine.Engine.Cache.stats
   (** Hit/miss/size counters (surfaced in the framework stage report). *)
@@ -88,33 +92,16 @@ end
 
 val profile :
   ?cache:Sim_cache.t -> ?engine:Kft_engine.Engine.t ->
-  ?backend:Kft_sim.Interp.backend -> ?trace:Kft_trace.Trace.t ->
-  ?layout:Kft_sim.Memory.layout -> ?seed:int ->
+  ?backend:Kft_sim.Interp.backend -> ?trace:Kft_trace.Trace.t -> ?seed:int ->
   Kft_device.Device.t -> Kft_cuda.Ast.program -> Kft_sim.Profiler.run
 (** {!Kft_sim.Profiler.profile} through the cache: a hit replays the
     stored run (snapshot-restored) instead of re-simulating; a miss
     simulates — block-parallel when [engine] is given, on [backend] when
-    given — and stores a private snapshot. [layout] runs under a
-    liveness-driven arena overlay; the cache key then gains a
-    schedflow-verdict tag (a digest of the layout), so overlay and
-    packed runs of the same program never replay each other's
-    snapshots. *)
-
-val verify :
-  ?cache:Sim_cache.t -> ?engine:Kft_engine.Engine.t ->
-  ?backend:Kft_sim.Interp.backend -> ?trace:Kft_trace.Trace.t -> ?seed:int -> ?tol:float ->
-  Kft_device.Device.t ->
-  original:Kft_cuda.Ast.program -> transformed:Kft_cuda.Ast.program ->
-  (unit, (string * float) list) result
-(** {!Kft_sim.Profiler.verify} but sharing the cache: when both programs
-    were already profiled (e.g. during gathering and the transformed
-    run), verification costs two cache hits instead of two fresh
-    simulations. *)
+    given — and stores a private snapshot. *)
 
 val gather :
   ?cache:Sim_cache.t -> ?engine:Kft_engine.Engine.t ->
-  ?backend:Kft_sim.Interp.backend -> ?trace:Kft_trace.Trace.t ->
-  ?layout:Kft_sim.Memory.layout -> ?seed:int ->
+  ?backend:Kft_sim.Interp.backend -> ?trace:Kft_trace.Trace.t -> ?seed:int ->
   Kft_device.Device.t -> Kft_cuda.Ast.program -> t * Kft_sim.Profiler.run
 (** The metadata-gathering stage: one instrumented run on the simulated
     device plus static analysis of every kernel. [cache] memoizes the

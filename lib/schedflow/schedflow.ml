@@ -1,15 +1,13 @@
 (* Whole-schedule dataflow: per-op array access sets (region-refined by
    the abstract interpreter where it proves every matching access),
-   liveness intervals, the schedule DDG, schedule-level issues, three
-   lint rules and the liveness-driven arena overlay. Pure — every
-   client (verify pass, kft lint, Framework, bench) re-derives the same
-   result from the program alone. *)
+   liveness intervals, the schedule DDG, schedule-level issues and three
+   lint rules. Pure — every client (verify pass, kft lint, Framework,
+   bench) re-derives the same result from the program alone. *)
 
 open Kft_cuda.Ast
 module Loc = Kft_cuda.Loc
 module Absint = Kft_absint.Absint
 module Lint = Kft_absint.Lint
-module Memory = Kft_sim.Memory
 
 type region = Whole | Region of Absint.itv
 
@@ -353,76 +351,6 @@ let launch_deps t =
       | _ -> None)
     t.deps
   |> List.sort_uniq compare
-
-(* ------------------------------------------------------------------ *)
-(* Liveness-driven arena overlay                                       *)
-(* ------------------------------------------------------------------ *)
-
-type slot = { sid : int; mutable cap : int; mutable slast : int }
-
-let arena_layout t =
-  let packed_total = List.fold_left (fun s ai -> s + ai.ai_cells) 0 t.arrays in
-  let birth ai = match ai.ai_first with Some f -> f | None -> max_int in
-  let order =
-    List.sort
-      (fun a b -> compare (birth a, a.ai_name) (birth b, b.ai_name))
-      t.arrays
-  in
-  let slots = ref [] in
-  let assignment =
-    List.map
-      (fun ai ->
-        let b = birth ai in
-        let ai_last = match ai.ai_last with Some l -> l | None -> -1 in
-        (* only never-read arrays may join a slot: no read ever
-           observes the clobbered founder data, so every value any read
-           sees is the packed run's value bit-for-bit *)
-        let eligible =
-          if ai.ai_first_read <> None then []
-          else List.filter (fun s -> s.slast < b) !slots
-        in
-        let slot =
-          match
-            List.fold_left
-              (fun best s ->
-                match best with
-                | Some b' when (b'.cap, -b'.sid) >= (s.cap, -s.sid) -> best
-                | _ -> Some s)
-              None eligible
-          with
-          | Some s ->
-              s.cap <- max s.cap ai.ai_cells;
-              s.slast <- max s.slast ai_last;
-              s
-          | None ->
-              let s = { sid = List.length !slots; cap = ai.ai_cells; slast = ai_last } in
-              slots := !slots @ [ s ];
-              s
-        in
-        (ai.ai_name, slot))
-      order
-  in
-  let l_total = List.fold_left (fun s sl -> s + sl.cap) 0 !slots in
-  if l_total >= packed_total then None
-  else begin
-    let offsets = Hashtbl.create 8 in
-    let off = ref 0 in
-    List.iter
-      (fun s ->
-        Hashtbl.replace offsets s.sid !off;
-        off := !off + s.cap)
-      !slots;
-    Some
-      {
-        Memory.l_offsets =
-          List.map (fun (name, s) -> (name, Hashtbl.find offsets s.sid)) assignment
-          |> List.sort compare;
-        l_total;
-        (* founders seed last so their pattern survives on shared slots;
-           tenants are never read, so their lost pattern is unobservable *)
-        l_seed_order = List.rev_map (fun (name, _) -> name) assignment;
-      }
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Lint rules                                                          *)

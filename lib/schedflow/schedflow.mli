@@ -17,10 +17,10 @@
       program inputs, and stores never observed by any later read or
       program output.
 
-    Three clients: the [schedule] pass of {!Kft_verify.Verify.validate}
+    Clients: the [schedule] pass of {!Kft_verify.Verify.validate}
     (issues + end-to-end schedule-DDG preservation of transformed
-    schedules), three [kft lint] rules ({!lint}), and liveness-driven
-    arena reuse ({!arena_layout} feeding {!Kft_sim.Memory.create}).
+    schedules), three [kft lint] rules ({!lint}), and the [schedflow]
+    stage of [Kft_framework.Framework.transform].
 
     Input/output conventions: with explicit [Copy_to_device] /
     [Copy_to_host] ops, the copied arrays are the program's inputs /
@@ -111,14 +111,6 @@ val launch_deps : t -> (int * int * string) list
     position, later launch position, array) triples, deduplicated and
     sorted — the obligation set that a transformed schedule must
     preserve. *)
-
-val arena_layout : t -> Kft_sim.Memory.layout option
-(** Liveness-driven overlay placement: arrays that are never read may
-    share arena cells with arrays whose last access precedes their
-    first. [None] when no sharing opportunity exists (the overlay would
-    not be smaller than the packed arena). Only sound for runs whose
-    final memory is discarded; every value any read observes is
-    preserved, so simulation statistics are bit-identical. *)
 
 (** {2 Lint rules}
 

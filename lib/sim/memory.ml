@@ -18,31 +18,13 @@ type entry = { data : buf; edims : int list }
 (* One contiguous arena per memory; every entry is a zero-copy
    [A1.sub] view into it, laid out in sorted name order (the same
    packing order snapshots have always used). [directory] rows are
-   (name, dims, offset); a row's length is the product of its dims, so
-   an overlay layout may alias rows onto shared cells. *)
+   (name, dims, offset); a row's length is the product of its dims. *)
 type t = {
   arena : buf;  (** may be larger than [total] when recycled from the pool *)
   total : int;  (** cells actually used, starting at offset 0 *)
   directory : (string * int list * int) array;
   tbl : (string, entry) Hashtbl.t;
-  seed_order : string list;
-      (** [init_seeded] fills arrays in this order; under an overlay
-          layout later names win on shared cells *)
   mutable released : bool;
-}
-
-(* A liveness-driven overlay: entries whose live ranges never require
-   both values at once may share arena cells, so [l_total] can be
-   smaller than the packed sum of extents. Produced by
-   Kft_schedflow.Schedflow.arena_layout; only sound for runs whose
-   final memory is discarded (the overlay preserves every value any
-   read observes, not the end-of-run contents of shared slots). *)
-type layout = {
-  l_offsets : (string * int) list;  (** array name -> cell offset *)
-  l_total : int;  (** arena cells; <= packed total when slots are shared *)
-  l_seed_order : string list;
-      (** seeding order; arrays whose initial values must survive on a
-          shared slot come last *)
 }
 
 exception Unknown_array of string
@@ -147,21 +129,16 @@ end
    shared freely between memories and snapshots. *)
 let dims_cells dims = List.fold_left ( * ) 1 dims
 
-let of_arena ?seed_order arena total directory =
+let of_arena arena total directory =
   let n = Array.length directory in
   let tbl = Hashtbl.create (max 32 n) in
   Array.iter
     (fun (name, edims, off) ->
       Hashtbl.replace tbl name { data = A1.sub arena off (dims_cells edims); edims })
     directory;
-  let seed_order =
-    match seed_order with
-    | Some o -> o
-    | None -> Array.to_list (Array.map (fun (name, _, _) -> name) directory)
-  in
-  { arena; total; directory; tbl; seed_order; released = false }
+  { arena; total; directory; tbl; released = false }
 
-let create ?layout decls =
+let create decls =
   let seen = Hashtbl.create 32 in
   List.iter
     (fun d ->
@@ -172,43 +149,22 @@ let create ?layout decls =
       Hashtbl.replace seen d.a_name ())
     decls;
   let sorted = List.sort (fun a b -> compare a.a_name b.a_name) decls in
-  let directory, total, seed_order =
-    match layout with
-    | None ->
-        let off = ref 0 in
-        let rows =
-          List.map
-            (fun d ->
-              let row = (d.a_name, d.a_dims, !off) in
-              off := !off + array_cells d;
-              row)
-            sorted
-        in
-        (Array.of_list rows, !off, None)
-    | Some l ->
-        let rows =
-          List.map
-            (fun d ->
-              match List.assoc_opt d.a_name l.l_offsets with
-              | None -> invalid_arg ("Memory.create: layout misses array " ^ d.a_name)
-              | Some off ->
-                  if off < 0 || off + array_cells d > l.l_total then
-                    invalid_arg ("Memory.create: layout overflows arena at " ^ d.a_name);
-                  (d.a_name, d.a_dims, off))
-            sorted
-        in
-        List.iter
-          (fun d ->
-            if not (List.exists (fun n -> n = d.a_name) l.l_seed_order) then
-              invalid_arg ("Memory.create: layout seed order misses " ^ d.a_name))
-          sorted;
-        (Array.of_list rows, l.l_total, Some l.l_seed_order)
+  let off = ref 0 in
+  let directory =
+    Array.of_list
+      (List.map
+         (fun d ->
+           let row = (d.a_name, d.a_dims, !off) in
+           off := !off + array_cells d;
+           row)
+         sorted)
   in
+  let total = !off in
   let arena = Pool.acquire total in
   (* [A1.create] does not zero memory (and a recycled arena holds the
      previous tenant's data): restore the zero-initialized contract *)
   A1.fill (A1.sub arena 0 total) 0.0;
-  of_arena ?seed_order arena total directory
+  of_arena arena total directory
 
 (* splitmix64-style hash, kept in int range *)
 let mix h =
@@ -218,8 +174,8 @@ let mix h =
   h lxor (h lsr 13)
 
 let init_seeded t ~seed =
-  List.iter
-    (fun name ->
+  Array.iter
+    (fun (name, _, _) ->
       match Hashtbl.find_opt t.tbl name with
       | None -> ()
       | Some e ->
@@ -232,7 +188,7 @@ let init_seeded t ~seed =
               /. 1048577.0
               *. (if h land 0x100000 = 0 then 1.0 else -1.0))
           done)
-    t.seed_order
+    t.directory
 
 let find t name =
   if t.released then invalid_arg ("Memory.find: use after release: " ^ name);

@@ -32,31 +32,15 @@ exception Unknown_array of string
     hold. Carries the offending name; the interpreter re-wraps it in
     [Interp.Sim_error] together with the launching kernel. *)
 
-type layout = {
-  l_offsets : (string * int) list;  (** array name -> cell offset *)
-  l_total : int;  (** arena cells; <= packed total when slots are shared *)
-  l_seed_order : string list;
-      (** seeding order; arrays whose initial values must survive on a
-          shared slot come last *)
-}
-(** A liveness-driven overlay placement (Kft_schedflow.Schedflow
-    [arena_layout]): arrays whose live ranges never need both values at
-    once may share arena cells. Sound only for runs whose final memory
-    is discarded — the overlay preserves every value any read observes
-    during the schedule, not the end-of-run contents of shared slots. *)
-
-val create : ?layout:layout -> Kft_cuda.Ast.array_decl list -> t
-(** Allocate every array, zero-initialized, in one pooled arena —
-    packed in sorted name order by default, or placed by [layout].
-    Raises [Invalid_argument] on duplicate names, non-double element
-    types, or a layout that misses an array / overflows its arena. *)
+val create : Kft_cuda.Ast.array_decl list -> t
+(** Allocate every array, zero-initialized, in one pooled arena packed
+    in sorted name order. Raises [Invalid_argument] on duplicate names
+    or non-double element types. *)
 
 val init_seeded : t -> seed:int -> unit
 (** Fill every array with a deterministic pseudo-random pattern derived
     from [seed] and the array name, so that identical programs started
-    from the same seed are bit-comparable. Arrays are filled in the
-    memory's seeding order (name order by default, [l_seed_order] under
-    an overlay layout, where later arrays win on shared cells). *)
+    from the same seed are bit-comparable. *)
 
 val get : t -> string -> buf
 (** The backing store of an array — an aliasing view, not a copy.

@@ -43,32 +43,31 @@ let profile_with_memory ?engine ?backend ?trace device mem prog =
     memory = mem;
   }
 
-let profile ?engine ?backend ?trace ?layout ?(seed = 42) device prog =
-  let mem = Memory.create ?layout prog.p_arrays in
+let profile ?engine ?backend ?trace ?(seed = 42) device prog =
+  let mem = Memory.create prog.p_arrays in
   Memory.init_seeded mem ~seed;
   profile_with_memory ?engine ?backend ?trace device mem prog
 
-let verify ?engine ?backend ?trace ?(seed = 42) ?(tol = 1e-9) device ~original ~transformed =
-  let run p =
-    let mem = Memory.create p.p_arrays in
-    Memory.init_seeded mem ~seed;
-    ignore (profile_with_memory ?engine ?backend ?trace device mem p);
-    mem
-  in
-  let m1 = run original and m2 = run transformed in
-  (* [max_abs_diff] spans the union of array names; verification keeps
-     its documented contract of comparing arrays common to both
-     programs (a transformation may add or drop temporaries) *)
+(* [max_abs_diff] spans the union of array names; output comparison
+   keeps its documented contract of comparing arrays common to both
+   programs (a transformation may add or drop temporaries) *)
+let compare ~tol m1 m2 =
   let diffs =
     List.filter
       (fun (n, d) -> Memory.mem m1 n && Memory.mem m2 n && d > tol)
       (Memory.max_abs_diff m1 m2)
   in
+  if diffs = [] then Ok () else Error diffs
+
+let verify ?engine ?backend ?trace ?(seed = 42) ?(tol = 1e-9) device ~original ~transformed =
+  let run p = (profile ?engine ?backend ?trace ~seed device p).memory in
+  let m1 = run original and m2 = run transformed in
+  let r = compare ~tol m1 m2 in
   (* both memories are private to this verification: recycle their
      arenas instead of waiting for the GC *)
   Memory.release m1;
   Memory.release m2;
-  if diffs = [] then Ok () else Error diffs
+  r
 
 let speedup ~original ~transformed =
   if transformed.total_time_us <= 0.0 then infinity

@@ -20,14 +20,12 @@ type run = {
 
 val profile :
   ?engine:Kft_engine.Engine.t -> ?backend:Interp.backend ->
-  ?trace:Kft_trace.Trace.t -> ?layout:Memory.layout -> ?seed:int ->
+  ?trace:Kft_trace.Trace.t -> ?seed:int ->
   Kft_device.Device.t -> Kft_cuda.Ast.program -> run
 (** Allocate and seed device memory (default seed 42), then run the full
     schedule. [engine] and [backend] are passed through to
     {!Interp.launch} (backend selection never changes the profile — the
-    backends are bit-identical — only how fast it is produced). [layout] places the arrays by a liveness-driven overlay
-    (see {!Memory.layout}): statistics and timings are bit-identical,
-    only the arena is smaller — use when the run's memory is discarded.
+    backends are bit-identical — only how fast it is produced).
     [trace] records one span per launch. *)
 
 val profile_with_memory :
@@ -37,16 +35,25 @@ val profile_with_memory :
 (** Run against caller-provided memory (mutated in place); used to
     compare two program versions from identical initial state. *)
 
+val compare :
+  tol:float -> Memory.t -> Memory.t -> (unit, (string * float) list) result
+(** Compare the arrays common to both memories (an array present on
+    only one side is ignored: a transformation may add or drop
+    temporaries); [Error diffs] lists, in name order, every array whose
+    maximum absolute difference exceeds [tol], with that difference. *)
+
 val verify :
   ?engine:Kft_engine.Engine.t -> ?backend:Interp.backend ->
   ?trace:Kft_trace.Trace.t -> ?seed:int -> ?tol:float ->
   Kft_device.Device.t ->
   original:Kft_cuda.Ast.program -> transformed:Kft_cuda.Ast.program ->
   (unit, (string * float) list) result
-(** Run both programs from identical seeded memory and compare all
-    arrays common to both; [Error diffs] lists offending arrays with
-    their max absolute difference. This is the output verification the
-    paper performed "for every single run" (Section 6.1.2). *)
+(** Profile both programs from identical seeded memory, then
+    {!compare} their final memories. This is the output verification
+    the paper performed "for every single run" (Section 6.1.2);
+    [Kft_framework.Framework.transform] applies {!compare} to the two
+    runs it already holds, and this function stays the independent
+    re-simulating reference. *)
 
 val speedup : original:run -> transformed:run -> float
 (** Ratio of total modeled times. *)

@@ -135,6 +135,53 @@ let test_fission_flows_through () =
   Alcotest.(check bool) "parts or their fusions emitted" true
     (List.length part_names > 0 || List.exists (fun g -> List.length g > 1) r.solution_groups)
 
+(* output verification compares the two runs the pipeline already holds;
+   its verdict must equal an independent re-simulation of both programs *)
+let test_verified_matches_resimulation () =
+  List.iter
+    (fun ((app : Kft_apps.Apps.app), config) ->
+      let r = F.transform ~config app.program in
+      Alcotest.(check bool) (app.app_name ^ " verified") true (r.verified = Ok ());
+      let fresh =
+        Kft_sim.Profiler.verify ~seed:config.F.seed ~tol:config.verify_tolerance config.device
+          ~original:app.program ~transformed:r.transformed
+      in
+      Alcotest.(check bool) (app.app_name ^ " matches Profiler.verify") true (r.verified = fresh);
+      if app.app_name = "AWP-ODC-GPU" then
+        Alcotest.(check bool) "fission pre-run exercised" true (r.fission_plans <> []))
+    [
+      (Kft_apps.Apps.quickstart (), config);
+      (Kft_apps.Apps.awp_odc (), { config with device = Kft_apps.Apps.bench_device });
+    ]
+
+(* the profile cache only saves simulations: transforming without one,
+   with a fresh one and again with the now-warm one gives the same
+   result, and the warm transform re-simulates nothing *)
+let test_sim_cache_transparent () =
+  let app = Kft_apps.Apps.awp_odc () in
+  let config = { config with device = Kft_apps.Apps.bench_device } in
+  let cache = Kft_metadata.Metadata.Sim_cache.create () in
+  let run sim_cache = F.transform ~config:{ config with sim_cache } app.program in
+  let plain = run None in
+  let cold = run (Some cache) in
+  let warm = run (Some cache) in
+  List.iter
+    (fun (label, (r : F.report)) ->
+      Alcotest.(check string) (label ^ ": same program")
+        (Kft_cuda.Pp.program plain.transformed) (Kft_cuda.Pp.program r.transformed);
+      Alcotest.(check int64) (label ^ ": same speedup bits")
+        (Int64.bits_of_float plain.speedup) (Int64.bits_of_float r.speedup);
+      Alcotest.(check bool) (label ^ ": same verdict") true (plain.verified = r.verified);
+      Alcotest.(check bool) (label ^ ": same lint findings") true
+        (plain.lint_findings = r.lint_findings))
+    [ ("cold cache", cold); ("warm cache", warm) ];
+  Alcotest.(check bool) "no cache, no stats" true (plain.sim_cache_stats = None);
+  match warm.sim_cache_stats with
+  | None -> Alcotest.fail "cache stats missing"
+  | Some s ->
+      Alcotest.(check int) "warm transform: no misses" 0 s.Kft_engine.Engine.Cache.misses;
+      Alcotest.(check bool) "warm transform: hits" true (s.hits > 0)
+
 let suite =
   [
     Alcotest.test_case "end-to-end verified" `Quick test_end_to_end_verified;
@@ -147,6 +194,9 @@ let suite =
     Alcotest.test_case "hook: amend metadata" `Quick test_hook_amend_metadata;
     Alcotest.test_case "stage report text" `Quick test_stage_report_text;
     Alcotest.test_case "fission flows through pipeline" `Quick test_fission_flows_through;
+    Alcotest.test_case "verified equals a fresh re-simulation" `Quick
+      test_verified_matches_resimulation;
+    Alcotest.test_case "profile cache is transparent" `Quick test_sim_cache_transparent;
   ]
 
 let test_validation_gate () =

@@ -121,15 +121,12 @@ let test_schedflow_jobs_identical () =
 
 (* ---------------- kft-transform ---------------- *)
 
-(* a small, fast transformation; --no-sim-cache keeps in-process
-   repetitions independent of the process-wide profile cache, so trace
-   bytes depend only on the arguments *)
+(* a small, fast transformation; the default config shares no state
+   between in-process repetitions, so trace bytes depend only on the
+   arguments *)
 let quickstart_args rest =
   Array.append
-    [|
-      "kft-transform"; "-a"; "quickstart"; "--generations"; "2"; "--population"; "6";
-      "--no-sim-cache";
-    |]
+    [| "kft-transform"; "-a"; "quickstart"; "--generations"; "2"; "--population"; "6" |]
     rest
 
 let test_transform_list () =

@@ -1,6 +1,6 @@
 (* kft_schedflow: whole-schedule dataflow, liveness, schedule DDG,
-   dataflow issues, the three schedule-level lint rules, the
-   liveness-driven arena overlay, and the byte-stable JSON report.
+   dataflow issues, the three schedule-level lint rules and the
+   byte-stable JSON report.
 
    Also hosts the regression test for the [Verify.merge] dedupe fix:
    diagnostics differing only in the array they are about must both
@@ -243,43 +243,6 @@ let test_lint_programs_jobs_identical () =
   Alcotest.(check bool) "normalized (sorted, unique)" true (f1 = L.normalize f1)
 
 (* ------------------------------------------------------------------ *)
-(* liveness-driven arena overlay                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_arena_layout_quickstart () =
-  let p = (Kft_apps.Apps.quickstart ()).program in
-  let t = Sf.analyze p in
-  match Sf.arena_layout t with
-  | None -> Alcotest.fail "quickstart has a sharing opportunity (U2 never reads)"
-  | Some layout ->
-      let packed = List.fold_left (fun acc a -> acc + array_cells a) 0 p.p_arrays in
-      Alcotest.(check bool) "overlay strictly smaller than packed" true
-        (layout.Kft_sim.Memory.l_total < packed);
-      Alcotest.(check int) "every array placed" (List.length p.p_arrays)
-        (List.length layout.l_offsets);
-      List.iter
-        (fun a ->
-          match List.assoc_opt a.a_name layout.l_offsets with
-          | None -> Alcotest.failf "array %s missing from the layout" a.a_name
-          | Some off ->
-              Alcotest.(check bool) "inside the arena" true
-                (off >= 0 && off + array_cells a <= layout.l_total))
-        p.p_arrays;
-      (* bit-identity: the overlay run reproduces the packed run's
-         per-kernel statistics exactly (final memory is allowed to
-         differ on shared slots -- the overlay is for discarded runs) *)
-      let stats_of ?layout () =
-        let r = Kft_sim.Profiler.profile ?layout Util.device p in
-        let sts =
-          List.map (fun (kp : Kft_sim.Profiler.kernel_profile) -> (kp.kernel, kp.stats)) r.profiles
-        in
-        Kft_sim.Memory.release r.memory;
-        sts
-      in
-      Alcotest.(check bool) "overlay stats bit-identical to packed" true
-        (stats_of () = stats_of ~layout ())
-
-(* ------------------------------------------------------------------ *)
 (* property: computed liveness is sound against the interpreter        *)
 (* ------------------------------------------------------------------ *)
 
@@ -400,8 +363,6 @@ let suite =
     Alcotest.test_case "lint: transient-global" `Quick test_lint_transient_global;
     Alcotest.test_case "lint_programs identical at any jobs" `Quick
       test_lint_programs_jobs_identical;
-    Alcotest.test_case "arena overlay: placed, smaller, bit-identical stats" `Quick
-      test_arena_layout_quickstart;
     QCheck_alcotest.to_alcotest prop_liveness_sound;
     Alcotest.test_case "Verify.merge keys on the array" `Quick test_merge_keeps_distinct_arrays;
     Alcotest.test_case "golden JSON report (quickstart)" `Quick test_golden_json;

@@ -467,6 +467,32 @@ let test_max_abs_diff_one_sided () =
   Alcotest.(check bool) "one-sided array breaks equality" false
     (Mem.equal_within ~tol:1e12 mem1 mem2)
 
+(* [Profiler.compare]: the output-verification verdict over two final
+   memories, taken on the arrays common to both *)
+let test_profiler_compare () =
+  let seeded names =
+    let m = Mem.create (List.map (Util.arr3 dims) names) in
+    Mem.init_seeded m ~seed:3;
+    m
+  in
+  let verdict = Alcotest.(result unit (list (pair string (float 0.0)))) in
+  let a = seeded [ "A"; "B" ] and b = seeded [ "A"; "B" ] in
+  Alcotest.check verdict "equal runs" (Ok ()) (Kft_sim.Profiler.compare ~tol:0.0 a b);
+  (Mem.get a "B").{5} <- 0.5;
+  (Mem.get b "B").{5} <- 0.25;
+  Alcotest.check verdict "a move beyond tol is reported" (Error [ ("B", 0.25) ])
+    (Kft_sim.Profiler.compare ~tol:0.1 a b);
+  Alcotest.check verdict "a move of at most tol passes" (Ok ())
+    (Kft_sim.Profiler.compare ~tol:0.25 a b);
+  (* a transformation may add or drop temporaries: one-sided arrays are
+     ignored in both directions *)
+  let c = seeded [ "A"; "B"; "T" ] in
+  (Mem.get c "B").{5} <- 0.5;
+  Alcotest.check verdict "one-sided array ignored" (Ok ()) (Kft_sim.Profiler.compare ~tol:0.0 a c);
+  Alcotest.check verdict "one-sided array ignored (reversed)" (Ok ())
+    (Kft_sim.Profiler.compare ~tol:0.0 c a);
+  List.iter Mem.release [ a; b; c ]
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -586,6 +612,7 @@ let parallel_suite =
     Alcotest.test_case "determinism across jobs x affine" `Quick test_block_parallel_determinism;
     Alcotest.test_case "unknown array raises" `Quick test_unknown_array;
     Alcotest.test_case "one-sided diff is infinite" `Quick test_max_abs_diff_one_sided;
+    Alcotest.test_case "profiler compare verdicts" `Quick test_profiler_compare;
     Alcotest.test_case "affine rewrite structure" `Quick test_affine_rewrite_structure;
     Alcotest.test_case "zero-length arrays" `Quick test_zero_length_arrays;
     test_snapshot_restore_bit_identity;

@@ -10,9 +10,10 @@
 
    which is the canonical-channel contract of Kft_trace.Trace: logical
    sequence numbers and counters only, wall clock and scheduling shape
-   confined to the side channel. Every run gets a fresh profile cache
-   so the hit/miss counters in the trace depend only on the program,
-   never on what ran earlier in the process.
+   confined to the side channel. Every run gets its own profile cache
+   so the trace also carries the cache's hit/miss counters; a cache is
+   never shared between runs (the default config has none), so nothing
+   the pipeline reads depends on what ran earlier in the process.
 
    Usage: trace_all [smoke]   -- smoke checks quickstart only (runtest) *)
 
