@@ -2,9 +2,14 @@
    evaluation section (see DESIGN.md section 2 and EXPERIMENTS.md).
 
    Usage:
-     bench/main.exe                 -- run everything
+     bench/main.exe                 -- run every paper experiment
      bench/main.exe table1 fig4 ... -- run selected experiments
-     bench/main.exe micro           -- Bechamel component micro-benchmarks
+     bench/main.exe smoke           -- tier-1 rot and determinism guards
+     bench/main.exe paper           -- the paper's 500 x 100 search budget
+
+   Pipeline and layer performance is measured by the repository
+   benchmark (e2ebench/); the deterministic per-app work counters are
+   pinned exactly by test/test_golden.ml.
 
    One transformation per (application, configuration) pair is computed
    lazily and cached, so tables and figures that share a configuration
@@ -434,48 +439,6 @@ let devices () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* GGA search engine: wall-clock before/after (pool + memo cache)      *)
-(* ------------------------------------------------------------------ *)
-
-(* the ISSUE 2 acceptance metric: the search phase at jobs=4 with the
-   memo cache on must be >= 2x faster than the seed's sequential,
-   uncached evaluation -- with bit-identical results *)
-let search () =
-  print_endline "== GGA search engine: pool + fitness memo vs seed sequential ==";
-  print_endline
-    "application   engine          evals  computed  memo-hit%  search(s)  speedup  identical";
-  List.iter
-    (fun name ->
-      let a = app name in
-      let config = config_of_mode Full_auto in
-      let stats_of ~jobs ~memo =
-        Engine.with_engine ~jobs ~memo (fun engine ->
-            let r = F.transform ~config ~engine a.program in
-            match r.gga with
-            | Some g -> (g.engine_stats, g.best, g.history)
-            | None -> failwith (name ^ ": no GGA search ran"))
-      in
-      let seq, seq_best, seq_hist = stats_of ~jobs:1 ~memo:false in
-      let rows =
-        [
-          ("sequential", seq, true);
-          (let es, b, h = stats_of ~jobs:1 ~memo:true in
-           ("memo", es, b = seq_best && h = seq_hist));
-          (let es, b, h = stats_of ~jobs:4 ~memo:true in
-           ("jobs=4+memo", es, b = seq_best && h = seq_hist));
-        ]
-      in
-      List.iter
-        (fun (label, (es : Gga.engine_stats), identical) ->
-          Printf.printf "%-13s %-14s %6d %9d %10.1f %10.3f %8.2f  %s\n" name label
-            es.es_requested es.es_computed (100.0 *. es.es_hit_rate) es.es_search_wall_s
-            (seq.es_search_wall_s /. Float.max 1e-9 es.es_search_wall_s)
-            (if identical then "yes" else "NO"))
-        rows)
-    [ "SCALE-LES"; "AWP-ODC-GPU" ];
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
 (* Paper-scale search budget (500 generations x 100 individuals)       *)
 (* ------------------------------------------------------------------ *)
 
@@ -496,246 +459,23 @@ let paper () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Simulator throughput (BENCH_sim.json): interpret vs compiled-affine *)
-(* vs block-parallel, with bit-identity asserted across settings       *)
+(* Simulator runs for the smoke guards                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* one full schedule simulation on freshly seeded memory *)
 let sim_run ?engine ?backend (p : Kft_cuda.Ast.program) =
   let mem = Kft_sim.Memory.create p.p_arrays in
   Kft_sim.Memory.init_seeded mem ~seed:42;
-  let t0 = Unix.gettimeofday () in
   let runs = Kft_sim.Interp.run_schedule ?engine ?backend mem p in
-  let wall = Unix.gettimeofday () -. t0 in
-  (wall, mem, List.map snd runs)
+  (mem, List.map snd runs)
 
 (* run [sim_run] under a temporary engine when [jobs > 1] *)
 let sim_run_at ~jobs ~backend p =
   if jobs <= 1 then sim_run ~backend p
   else Engine.with_engine ~jobs ~memo:false (fun e -> sim_run ~engine:e ~backend p)
 
-(* splice statically decided guards (kft_absint) in every kernel that is
-   launched with a single distinct (block, grid, int args) configuration;
-   kernels with several configurations keep their guards *)
-let despliced (p : Kft_cuda.Ast.program) =
-  let open Kft_cuda.Ast in
-  let launches_of k =
-    List.filter_map
-      (function Launch l when l.l_kernel = k -> Some l | _ -> None)
-      p.p_schedule
-  in
-  let eliminated = ref 0 in
-  let kernels =
-    List.map
-      (fun k ->
-        let int_params l =
-          try
-            List.concat
-              (List.map2
-                 (fun prm a ->
-                   match (prm, a) with
-                   | Scalar_param { name; _ }, Arg_int v -> [ (name, v) ]
-                   | _ -> [])
-                 k.k_params l.l_args)
-          with Invalid_argument _ -> []
-        in
-        let config l = (l.l_block, grid_of_launch l, int_params l) in
-        match launches_of k.k_name with
-        | l :: rest when List.for_all (fun l' -> config l' = config l) rest ->
-            let k', n =
-              Kft_absint.Absint.simplify_kernel ~block:l.l_block
-                ~grid:(grid_of_launch l) ~int_params:(int_params l) k
-            in
-            eliminated := !eliminated + n;
-            k'
-        | _ -> k)
-      p.p_kernels
-  in
-  ({ p with p_kernels = kernels }, !eliminated)
-
-let sim () =
-  print_endline
-    "== simulator throughput: interpret / compiled-affine / block-parallel ==";
-  Printf.printf "   (parallel configs at jobs=%d; this host reports %d core(s))\n%!" !jobs
-    (Domain.recommended_domain_count ());
-  let repeats = 2 in
-  let time ~jobs ~backend p =
-    (* best-of-N wall time; memory and stats are identical across repeats *)
-    let best = ref infinity and result = ref None in
-    for _ = 1 to repeats do
-      let wall, mem, stats = sim_run_at ~jobs ~backend p in
-      if wall < !best then best := wall;
-      result := Some (mem, stats)
-    done;
-    let mem, stats = Option.get !result in
-    (!best, mem, stats)
-  in
-  let total_threads stats =
-    List.fold_left (fun a (s : Kft_sim.Interp.stats) -> a + s.threads_launched) 0 stats
-  in
-  let total_cells (p : Kft_cuda.Ast.program) =
-    List.fold_left
-      (fun acc s ->
-        match s with
-        | Kft_cuda.Ast.Launch l ->
-            let x, y, z = l.l_domain in
-            acc + (x * y * z)
-        | _ -> acc)
-      0 p.p_schedule
-  in
-  print_endline "application   config           wall(s)  Mthreads/s  Mcells/s  speedup";
-  let json_apps = ref [] in
-  List.iter
-    (fun name ->
-      let a = app name in
-      let p = a.program in
-      let _, ref_mem, ref_stats = sim_run_at ~jobs:1 ~backend:Kft_sim.Interp.Interpret p in
-      let threads = float_of_int (total_threads ref_stats) in
-      let cells = float_of_int (total_cells p) in
-      let configs =
-        [
-          ("interpret", 1, Kft_sim.Interp.Interpret);
-          ("compiled-affine", 1, Kft_sim.Interp.Affine);
-          ("block-parallel", !jobs, Kft_sim.Interp.Affine);
-        ]
-      in
-      let walls =
-        List.map
-          (fun (cname, jobs, backend) ->
-            let wall, _, _ = time ~jobs ~backend p in
-            (cname, wall))
-          configs
-      in
-      let base = List.assoc "interpret" walls in
-      List.iter
-        (fun (cname, wall) ->
-          Printf.printf "%-13s %-16s %7.3f %11.2f %9.2f %8.2fx\n%!" name cname wall
-            (threads /. wall /. 1e6) (cells /. wall /. 1e6) (base /. wall))
-        walls;
-      (* bit-identity: every (jobs, backend) setting must reproduce the
-         sequential reference interpreter's memory and stats exactly *)
-      List.iter
-        (fun (jobs, backend) ->
-          let _, m, s = sim_run_at ~jobs ~backend p in
-          if not (Kft_sim.Memory.equal_within ~tol:0.0 ref_mem m && ref_stats = s) then begin
-            Printf.eprintf "[bench] sim: %s diverged from sequential at jobs=%d backend=%s\n%!"
-              name jobs (Kft_sim.Interp.backend_name backend);
-            exit 1
-          end)
-        Kft_sim.Interp.
-          [ (1, Affine); (2, Interpret); (2, Affine); (4, Interpret); (4, Affine) ];
-      let fields =
-        List.map
-          (fun (cname, wall) ->
-            Printf.sprintf
-              {|      {"name": "%s", "wall_s": %.6f, "threads_per_s": %.0f, "cells_per_s": %.0f, "speedup": %.3f}|}
-              cname wall (threads /. wall) (cells /. wall) (base /. wall))
-          walls
-      in
-      json_apps :=
-        Printf.sprintf
-          "    {\"app\": \"%s\", \"threads\": %.0f, \"cells\": %.0f, \"configs\": [\n%s\n    ]}"
-          name threads cells
-          (String.concat ",\n" fields)
-        :: !json_apps)
-    all_app_names;
-  print_endline "  bit-identity across jobs in {1,2,4} x backends {interp,affine}: ok";
-  (* guard elimination (kft_absint): wall-time effect of splicing
-     provably-true guards, with bit-identity asserted before/after and
-     across the jobs sweep on the spliced program *)
-  print_endline "== guard elimination (kft_absint): before/after splice ==";
-  print_endline "program            guards  wall-before(s)  wall-after(s)  speedup";
-  let guard_rows = ref [] in
-  let datapoint name before after eliminated =
-    let wb, mb, _ = time ~jobs:1 ~backend:Kft_sim.Interp.Affine before in
-    let wa, ma, _ = time ~jobs:1 ~backend:Kft_sim.Interp.Affine after in
-    if not (Kft_sim.Memory.equal_within ~tol:0.0 mb ma) then begin
-      Printf.eprintf "[bench] sim: guard elimination changed results on %s\n%!" name;
-      exit 1
-    end;
-    (* the spliced program keeps the jobs-sweep bit-identity guarantee *)
-    let _, m4, _ = sim_run_at ~jobs:4 ~backend:Kft_sim.Interp.Affine after in
-    if not (Kft_sim.Memory.equal_within ~tol:0.0 ma m4) then begin
-      Printf.eprintf "[bench] sim: spliced %s diverged at jobs=4\n%!" name;
-      exit 1
-    end;
-    Printf.printf "%-18s %6d %15.3f %14.3f %8.2fx\n%!" name eliminated wb wa (wb /. wa);
-    guard_rows :=
-      Printf.sprintf
-        {|    {"program": "%s", "guards_eliminated": %d, "wall_before_s": %.6f, "wall_after_s": %.6f, "speedup": %.3f, "bit_identical": true}|}
-        name eliminated wb wa (wb /. wa)
-      :: !guard_rows
-  in
-  (let q = (Apps.quickstart ()).program in
-   let groups =
-     [ List.filter_map
-         (function Kft_cuda.Ast.Launch l -> Some l | _ -> None)
-         q.p_schedule ]
-   in
-   let off =
-     (Kft_codegen.Codegen.transform
-        ~options:{ Fusion.auto_options with eliminate_guards = false }
-        device q ~groups)
-       .program
-   in
-   let on = Kft_codegen.Codegen.transform ~options:Fusion.auto_options device q ~groups in
-   let eliminated =
-     List.fold_left
-       (fun acc (r : Kft_codegen.Codegen.kernel_report) ->
-         List.fold_left
-           (fun acc n ->
-             try Scanf.sscanf n "eliminated %d" (fun d -> acc + d) with _ -> acc)
-           acc r.notes)
-       0 on.reports
-   in
-   datapoint "quickstart-fused" off on.program eliminated);
-  List.iter
-    (fun name ->
-      let p = (app name).program in
-      let p', n = despliced p in
-      datapoint name p p' n)
-    [ "MITgcm"; "SCALE-LES" ];
-  (* per-stage wall-time breakdown of one traced quickstart
-     transformation (kft_trace): the canonical trace channel is
-     byte-identical across --jobs, the wall clock reported here is the
-     measurement *)
-  print_endline "== pipeline stage breakdown (traced quickstart transform) ==";
-  let stage_rows =
-    let trace = Trace.create "bench" in
-    let config =
-      {
-        F.default_config with
-        device;
-        sim_cache = Some sim_cache;
-        gga_params = gga ~generations:20 ~population:12 ();
-      }
-    in
-    let (_ : F.report) =
-      F.transform ~config ~engine:(engine ()) ~trace (Apps.quickstart ()).program
-    in
-    List.map
-      (fun (stage, wall) ->
-        Printf.printf "  %-20s %8.3f ms\n%!" stage (1000.0 *. wall);
-        Printf.sprintf {|    {"stage": "%s", "wall_s": %.6f}|} stage wall)
-      (Trace.top_spans trace)
-  in
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"sim\",\n  \"jobs\": %d,\n  \"cores\": %d,\n  \"seed\": 42,\n  \"deterministic\": true,\n  \"apps\": [\n%s\n  ],\n  \"guard_elimination\": [\n%s\n  ],\n  \"stage_breakdown\": [\n%s\n  ]\n}\n"
-      !jobs
-      (Domain.recommended_domain_count ())
-      (String.concat ",\n" (List.rev !json_apps))
-      (String.concat ",\n" (List.rev !guard_rows))
-      (String.concat ",\n" stage_rows)
-  in
-  let oc = open_out "BENCH_sim.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "  wrote BENCH_sim.json";
-  print_newline ()
-
 (* ------------------------------------------------------------------ *)
-(* Memory substrate: GC allocation per backend + arena pool behaviour  *)
+(* Allocation budget of the compiled affine hot loop                   *)
 (* ------------------------------------------------------------------ *)
 
 (* guarded 7-point stencil with a parametric domain: scaling (nx, ny)
@@ -821,35 +561,6 @@ let assert_alloc_budget () =
   Printf.printf "  %-16s steady-state %.3f words/thread (budget %.1f)\n%!" "compiled-affine"
     per_thread alloc_budget_words_per_thread
 
-let mem_bench () =
-  print_endline "== memory substrate: GC allocation + arena pool (jobs=1) ==";
-  print_endline "application   config           minor-Mwords  words/thread  pool-hit%";
-  List.iter
-    (fun name ->
-      let p = (app name).program in
-      List.iter
-        (fun (cname, backend) ->
-          (* warm run: compile caches, pool warm-up; measured run then
-             reflects the steady state the GGA's fitness loop lives in *)
-          ignore (alloc_words ~backend p);
-          let s0 = Kft_sim.Memory.Pool.stats () in
-          let words, threads = alloc_words ~backend p in
-          let s1 = Kft_sim.Memory.Pool.stats () in
-          let dreq = s1.requests - s0.requests and dhit = s1.hits - s0.hits in
-          let hitp = if dreq = 0 then 0.0 else 100.0 *. float_of_int dhit /. float_of_int dreq in
-          Printf.printf "%-13s %-16s %12.3f %13.2f %10.1f\n%!" name cname (words /. 1e6)
-            (words /. float_of_int threads)
-            hitp)
-        [ ("interpret", Kft_sim.Interp.Interpret); ("compiled-affine", Kft_sim.Interp.Affine) ])
-    all_app_names;
-  assert_alloc_budget ();
-  (let s = Kft_sim.Memory.Pool.stats () in
-   Printf.printf
-     "  pool since start: %d requests, %d recycled, %d fresh, high water %.1f Mcells\n%!"
-     s.requests s.hits s.misses
-     (float_of_int s.high_water /. 1e6));
-  print_newline ()
-
 (* ------------------------------------------------------------------ *)
 (* Smoke: one tiny transformation per bench mode (tier-1 rot check)    *)
 (* ------------------------------------------------------------------ *)
@@ -895,10 +606,10 @@ let smoke () =
      runtest` via the alias rule in bench/dune) *)
   List.iter
     (fun (prog_name, (p : Kft_cuda.Ast.program)) ->
-      let _, m_seq, s_seq = sim_run_at ~jobs:1 ~backend:Kft_sim.Interp.Interpret p in
+      let m_seq, s_seq = sim_run_at ~jobs:1 ~backend:Kft_sim.Interp.Interpret p in
       List.iter
         (fun (label, jobs, backend) ->
-          let _, m, st = sim_run_at ~jobs ~backend p in
+          let m, st = sim_run_at ~jobs ~backend p in
           if not (Kft_sim.Memory.equal_within ~tol:0.0 m_seq m && s_seq = st) then begin
             Printf.eprintf "[bench] smoke: %s diverged from sequential on %s\n%!" label
               prog_name;
@@ -921,65 +632,6 @@ let smoke () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of framework components                   *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  print_endline "== component micro-benchmarks (Bechamel) ==";
-  let open Bechamel in
-  let a = app "MITgcm" in
-  let prog = a.program in
-  let src = String.concat "\n" (List.map Kft_cuda.Pp.kernel prog.p_kernels) in
-  let meta, _ = Kft_metadata.Metadata.gather device prog in
-  let models =
-    List.filter_map
-      (fun (o : Kft_metadata.Metadata.ops_entry) ->
-        match Kft_perfmodel.Perfmodel.of_metadata meta o.o_kernel with
-        | m -> Some m
-        | exception Not_found -> None)
-      meta.operations
-  in
-  let small_launch =
-    List.find_map (function Kft_cuda.Ast.Launch l -> Some l | _ -> None) prog.p_schedule
-    |> Option.get
-  in
-  let tests =
-    [
-      Test.make ~name:"parse-37-kernels" (Staged.stage (fun () -> Kft_cuda.Parse.kernels src));
-      Test.make ~name:"ddg-oeg-build" (Staged.stage (fun () -> Kft_ddg.Ddg.build prog));
-      Test.make ~name:"objective-eval"
-        (Staged.stage (fun () -> Kft_perfmodel.Perfmodel.objective device [ models ]));
-      Test.make ~name:"interpret-one-launch"
-        (Staged.stage (fun () ->
-             let mem = Kft_sim.Memory.create prog.p_arrays in
-             Kft_sim.Interp.launch mem prog small_launch));
-      Test.make ~name:"canonicalize-member"
-        (Staged.stage (fun () ->
-             Kft_codegen.Canonical.extract ~deep:`Sequential ~index:0 prog small_launch));
-    ]
-  in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-    let raw = Benchmark.all cfg [ instance ] test in
-    let results =
-      Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]) instance raw
-    in
-    results
-  in
-  List.iter
-    (fun t ->
-      let results = benchmark (Test.make_grouped ~name:"g" [ t ]) in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-28s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "  %-28s (no estimate)\n" name)
-        results)
-    tests;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -995,11 +647,7 @@ let experiments =
     ("convergence", convergence);
     ("ablation", ablation);
     ("devices", devices);
-    ("search", search);
-    ("sim", sim);
-    ("mem", mem_bench);
     ("smoke", smoke);
-    ("micro", micro);
   ]
 
 (* opt-in only (long-running): never part of the default "run everything" *)

@@ -183,36 +183,6 @@ let program ?(measured = []) (p : program) =
   in
   normalize per_launch
 
-let programs ?(jobs = 1) ?(measured = []) (ps : program list) =
-  let arr = Array.of_list ps in
-  let out = Array.make (Array.length arr) [] in
-  let work i =
-    let p = arr.(i) in
-    let m = match List.assoc_opt p.p_name measured with Some m -> m | None -> [] in
-    out.(i) <- program ~measured:m p
-  in
-  let n = Array.length arr in
-  let jobs = max 1 (min jobs n) in
-  if jobs = 1 then
-    for i = 0 to n - 1 do
-      work i
-    done
-  else begin
-    let domains =
-      List.init jobs (fun j ->
-          Domain.spawn (fun () ->
-              let i = ref j in
-              while !i < n do
-                work !i;
-                i := !i + jobs
-              done))
-    in
-    List.iter Domain.join domains
-  end;
-  (* per-program results are already normalized; the concatenation is
-     sorted again so cross-program order never depends on scheduling *)
-  normalize (List.concat (Array.to_list out))
-
 (* ------------------------------------------------------------------ *)
 (* rendering                                                           *)
 (* ------------------------------------------------------------------ *)

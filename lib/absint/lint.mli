@@ -38,15 +38,6 @@ val program :
     [footprint-drift] cross-check; kernels launched more than once are
     exempt from that rule (their static estimates are per-launch). *)
 
-val programs :
-  ?jobs:int ->
-  ?measured:(string * (string * float) list) list ->
-  Kft_cuda.Ast.program list ->
-  finding list
-(** Lint several programs, optionally in parallel ([jobs] domains).
-    [measured] is keyed by program name. The result is identical for
-    every [jobs] value. *)
-
 val normalize : finding list -> finding list
 (** Sort into the total order and deduplicate. Producers of findings
     outside this module (the schedule-level rules of kft_schedflow)

@@ -8,6 +8,7 @@
 
 open Cmdliner
 module L = Kft_absint.Lint
+module Engine = Kft_engine.Engine
 module Trace = Kft_trace.Trace
 
 let write_file path contents =
@@ -21,6 +22,12 @@ let write_file path contents =
 (* ------------------------------------------------------------------ *)
 
 let lint_apps () = Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all ()
+
+(* [f] over the selected apps on [jobs] worker domains; results come
+   back in input (app) order, so every rendering is byte-identical at
+   any worker count *)
+let map_apps ~jobs f apps =
+  Engine.with_engine ~jobs ~memo:false (fun e -> Engine.map e f apps)
 
 (* measured global traffic, summed per kernel over the schedule (the
    lint rule only consumes it for kernels launched exactly once) *)
@@ -37,8 +44,7 @@ let measured_of device (a : Kft_apps.Apps.app) =
       let cur = match Hashtbl.find_opt tbl p.kernel with Some c -> c | None -> 0.0 in
       Hashtbl.replace tbl p.kernel (cur +. b))
     run.profiles;
-  ( a.program.Kft_cuda.Ast.p_name,
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) )
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let lint_run json jobs strict no_profile only trace_file =
   let apps = lint_apps () in
@@ -62,16 +68,19 @@ let lint_run json jobs strict no_profile only trace_file =
       let trace =
         match trace_file with Some _ -> Some (Trace.create "kft-lint") | None -> None
       in
-      let measured =
-        if no_profile then []
-        else List.map (measured_of Kft_device.Device.k20x) apps
+      (* the simulator pre-run is the costly part, so it fans out with
+         the analysis *)
+      let lint_one (a : Kft_apps.Apps.app) =
+        let measured =
+          if no_profile then None else Some (measured_of Kft_device.Device.k20x a)
+        in
+        L.program ?measured a.program
       in
       let findings =
         Trace.with_span trace "lint" (fun () ->
-            let fs =
-              L.programs ~jobs ~measured
-                (List.map (fun (a : Kft_apps.Apps.app) -> a.program) apps)
-            in
+            (* per-program results are already normalized; the
+               concatenation is sorted again into one total order *)
+            let fs = L.normalize (List.concat (map_apps ~jobs lint_one apps)) in
             (* per-program child spans carry the per-rule counters; the
                batch above already ran, so these record counts only
                (their wall clock is a side channel anyway) *)
@@ -141,33 +150,6 @@ let lint_cmd =
 
 module Sf = Kft_schedflow.Schedflow
 
-(* analyze the selected programs, optionally on worker domains; the
-   output order is the (deterministic) app order, so the rendering is
-   byte-identical at any worker count *)
-let schedflow_analyses ~jobs progs =
-  let arr = Array.of_list progs in
-  let n = Array.length arr in
-  let out = Array.make n None in
-  let work i = out.(i) <- Some (Sf.analyze arr.(i)) in
-  let jobs = max 1 (min jobs n) in
-  if jobs = 1 then
-    for i = 0 to n - 1 do
-      work i
-    done
-  else begin
-    let domains =
-      List.init jobs (fun j ->
-          Domain.spawn (fun () ->
-              let i = ref j in
-              while !i < n do
-                work !i;
-                i := !i + jobs
-              done))
-    in
-    List.iter Domain.join domains
-  end;
-  List.filter_map Fun.id (Array.to_list out)
-
 let schedflow_run json jobs strict only trace_file =
   let apps = lint_apps () in
   let known (a : Kft_apps.Apps.app) = a.program.Kft_cuda.Ast.p_name in
@@ -193,8 +175,7 @@ let schedflow_run json jobs strict only trace_file =
       let analyses =
         Trace.with_span trace "schedflow" (fun () ->
             let ts =
-              schedflow_analyses ~jobs
-                (List.map (fun (a : Kft_apps.Apps.app) -> a.program) apps)
+              map_apps ~jobs (fun (a : Kft_apps.Apps.app) -> Sf.analyze a.program) apps
             in
             List.iter
               (fun (sf : Sf.t) ->

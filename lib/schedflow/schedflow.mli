@@ -133,11 +133,6 @@ val lint : t -> Kft_absint.Lint.finding list
 val lint_program : Kft_cuda.Ast.program -> Kft_absint.Lint.finding list
 (** [lint (analyze p)]. *)
 
-val lint_programs :
-  ?jobs:int -> Kft_cuda.Ast.program list -> Kft_absint.Lint.finding list
-(** Analyze several programs, optionally on [jobs] domains; the result
-    is identical at any worker count. *)
-
 (** {2 Reports} *)
 
 val render_human : t -> string

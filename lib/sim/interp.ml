@@ -9,7 +9,6 @@ type stats = {
   mutable flops : float;
   mutable warp_cond_evals : int;
   mutable divergent_warp_cond_evals : int;
-  mutable shared_hazards : int;
   mutable threads_launched : int;
   mutable threads_active : int;
   shared_bytes_per_block : int;
@@ -29,7 +28,6 @@ let zero_stats ~shared_bytes_per_block ~blocks_launched =
     flops = 0.0;
     warp_cond_evals = 0;
     divergent_warp_cond_evals = 0;
-    shared_hazards = 0;
     threads_launched = 0;
     threads_active = 0;
     shared_bytes_per_block;
@@ -49,7 +47,6 @@ let diff_stats cur base =
     warp_cond_evals = cur.warp_cond_evals - base.warp_cond_evals;
     divergent_warp_cond_evals =
       cur.divergent_warp_cond_evals - base.divergent_warp_cond_evals;
-    shared_hazards = cur.shared_hazards - base.shared_hazards;
     threads_launched = 0;
     threads_active = cur.threads_active - base.threads_active;
     shared_bytes_per_block = cur.shared_bytes_per_block;
@@ -95,9 +92,6 @@ type st = {
   iregs : int array array;  (* slot-major: iregs.(slot).(thread) *)
   fregs : float array array;
   shmem : float array array;
-  sh_writer : int array array;
-  sh_epoch : int array array;
-  mutable epoch : int;
   alive : bool array;
   stats : stats;
   has_return : bool;  (* no [return] anywhere: threads can never die *)
@@ -503,13 +497,7 @@ and compile_float st lookup e : int -> float =
                 end
           | Shared (slot, dims) ->
               let idx_fns = List.map (compile_int st lookup) idxs in
-              let stats = st.stats in
-              fun t ->
-                let addr = shared_addr st dims idx_fns a t in
-                if st.sh_epoch.(slot).(addr) = st.epoch && st.sh_writer.(slot).(addr) <> t
-                   && st.sh_writer.(slot).(addr) >= 0
-                then stats.shared_hazards <- stats.shared_hazards + 1;
-                st.shmem.(slot).(addr)
+              fun t -> st.shmem.(slot).(shared_addr st dims idx_fns a t)
           | _ -> err st (Printf.sprintf "%s indexed but is not an array" a))
       | Binop (op, a, b) -> (
           let fa = compile_float st lookup a
@@ -645,13 +633,7 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
                       end)
           | Shared (slot, dims) ->
               let idx_fns = List.map (compile_int st lookup) idxs in
-              let stats = st.stats in
-              fun t ->
-                let addr = shared_addr st dims idx_fns a t in
-                if st.sh_epoch.(slot).(addr) = st.epoch && st.sh_writer.(slot).(addr) <> t
-                   && st.sh_writer.(slot).(addr) >= 0
-                then stats.shared_hazards <- stats.shared_hazards + 1;
-                acc.v <- st.shmem.(slot).(addr)
+              fun t -> acc.v <- st.shmem.(slot).(shared_addr st dims idx_fns a t)
           | _ -> err st (Printf.sprintf "%s indexed but is not an array" a))
       | Binop ((Add | Sub), _, _)
         when (let ts = sum_terms e [] in
@@ -939,7 +921,7 @@ let rec pure_int_cond lookup e =
 (* number of global-array reads one evaluation of [e] performs, or
    [None] when the count is data-dependent (a [Ternary] picks a branch
    at run time). Shared-memory reads are excluded: they do not touch
-   [global_read_bytes] and keep their per-access hazard accounting. *)
+   [global_read_bytes]. *)
 let static_read_count lookup e =
   let rec go e =
     match e with
@@ -1136,16 +1118,12 @@ and compile_thread_stmt st lookup s : int -> unit =
               let addr = shared_addr st dims idx_fns a t in
               rhs t;
               st.shmem.(slot).(addr) <- acc.v;
-              st.sh_writer.(slot).(addr) <- t;
-              st.sh_epoch.(slot).(addr) <- st.epoch;
               fl.v <- fl.v +. flops
           else
             let rhs = compile_float st lookup e in
             fun t ->
               let addr = shared_addr st dims idx_fns a t in
               st.shmem.(slot).(addr) <- rhs t;
-              st.sh_writer.(slot).(addr) <- t;
-              st.sh_epoch.(slot).(addr) <- st.epoch;
               stats.flops <- stats.flops +. flops
       | _ -> err st (Printf.sprintf "%s is not an array" a))
   | If (c, tb, eb) ->
@@ -1306,7 +1284,10 @@ let rec exec_lockstep st cstmts = List.iter (exec_cstmt st) cstmts
 
 and exec_cstmt st c =
   match c with
-  | CSync -> st.epoch <- st.epoch + 1
+  | CSync ->
+      (* lockstep execution already finished every thread's preceding
+         statement; shared-memory races are Kft_verify's to prove *)
+      ()
   | Leaf { fn; cond } ->
       (match cond with Some f -> record_divergence st f | None -> ());
       if st.has_return then
@@ -1565,9 +1546,6 @@ let launch_ext ?engine ?(backend = Affine) ?trace mem prog (l : launch) =
         iregs = Array.init n_int (fun _ -> Array.make nthreads 0);
         fregs = Array.init n_float (fun _ -> Array.make nthreads 0.0);
         shmem = Array.of_list (List.map (fun (_, d) -> Array.make (List.fold_left ( * ) 1 d) 0.0) shared_decls);
-        sh_writer = Array.of_list (List.map (fun (_, d) -> Array.make (List.fold_left ( * ) 1 d) (-1)) shared_decls);
-        sh_epoch = Array.of_list (List.map (fun (_, d) -> Array.make (List.fold_left ( * ) 1 d) (-1)) shared_decls);
-        epoch = 0;
         alive = Array.make nthreads true;
         stats = zero_stats ~shared_bytes_per_block:shared_bytes ~blocks_launched:1;
         has_return;
@@ -1591,10 +1569,7 @@ let launch_ext ?engine ?(backend = Affine) ?trace mem prog (l : launch) =
       st.biy <- b / gx mod gy;
       st.biz <- b / (gx * gy);
       if has_return then Array.fill st.alive 0 nthreads true;
-      st.epoch <- 0;
       Array.iter (fun a -> Array.fill a 0 (Array.length a) 0.0) st.shmem;
-      Array.iter (fun a -> Array.fill a 0 (Array.length a) (-1)) st.sh_writer;
-      Array.iter (fun a -> Array.fill a 0 (Array.length a) (-1)) st.sh_epoch;
       exec_lockstep st compiled;
       Array.iter (fun alive -> if alive then stats.threads_active <- stats.threads_active + 1) st.alive;
       (* fold the fast path's unboxed flop accumulator into the stats
@@ -1633,7 +1608,6 @@ let launch_ext ?engine ?(backend = Affine) ?trace mem prog (l : launch) =
       stats.warp_cond_evals <- stats.warp_cond_evals + b.warp_cond_evals;
       stats.divergent_warp_cond_evals <-
         stats.divergent_warp_cond_evals + b.divergent_warp_cond_evals;
-      stats.shared_hazards <- stats.shared_hazards + b.shared_hazards;
       stats.threads_active <- stats.threads_active + b.threads_active)
     per_block;
   let reads = List.concat_map fst usages and writes = List.concat_map snd usages in

@@ -6,15 +6,15 @@
     block, statements that contain no [__syncthreads()] execute
     thread-by-thread (two observations make this sound for the supported
     subset: race-free kernels are order-insensitive, and racy ones are
-    undefined behaviour in real CUDA — the hazard detector reports
-    them); statements that do contain a barrier execute in lockstep with
-    uniformity checks, exactly the discipline real CUDA requires of
-    barriers.
+    undefined behaviour in real CUDA — the [kft_verify] race prover
+    rules them out or reports them); statements that do contain a
+    barrier execute in lockstep with uniformity checks, exactly the
+    discipline real CUDA requires of barriers.
 
     The interpreter doubles as the instrumentation layer of Section 5.1:
-    it counts global traffic, floating-point operations, intra-warp
-    divergence of conditionals and shared-memory hazards, which the
-    profiler turns into the paper's performance metadata. *)
+    it counts global traffic, floating-point operations and intra-warp
+    divergence of conditionals, which the profiler turns into the
+    paper's performance metadata. *)
 
 type stats = {
   mutable global_read_bytes : int;
@@ -23,9 +23,6 @@ type stats = {
   mutable warp_cond_evals : int;
       (** warp-granularity evaluations of thread-dependent conditionals *)
   mutable divergent_warp_cond_evals : int;
-  mutable shared_hazards : int;
-      (** same-epoch cross-thread shared-memory read-after-write pairs:
-          potential races a missing barrier would expose *)
   mutable threads_launched : int;
   mutable threads_active : int;  (** threads never disabled by [return] and executing at least one write *)
   shared_bytes_per_block : int;

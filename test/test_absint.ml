@@ -194,11 +194,58 @@ let test_fused_guard_elimination () =
       Alcotest.failf "guard elimination changed results on %s"
         (String.concat "," (List.map fst diffs))
 
+(* splice the statically decided guards of every source kernel launched
+   with one (block, grid, int args) configuration; kernels launched
+   several ways keep their guards *)
+let splice_single_config p =
+  let int_params k l =
+    try
+      List.concat
+        (List.map2
+           (fun prm a ->
+             match (prm, a) with Scalar_param { name; _ }, Arg_int v -> [ (name, v) ] | _ -> [])
+           k.k_params l.l_args)
+    with Invalid_argument _ -> []
+  in
+  let eliminated = ref 0 in
+  let kernels =
+    List.map
+      (fun k ->
+        let config l = (l.l_block, grid_of_launch l, int_params k l) in
+        match List.filter (fun l -> l.l_kernel = k.k_name) (launches p) with
+        | l :: rest when List.for_all (fun l' -> config l' = config l) rest ->
+            let k', n =
+              A.simplify_kernel ~block:l.l_block ~grid:(grid_of_launch l)
+                ~int_params:(int_params k l) k
+            in
+            eliminated := !eliminated + n;
+            k'
+        | _ -> k)
+      p.p_kernels
+  in
+  ({ p with p_kernels = kernels }, !eliminated)
+
+let test_source_guard_splice () =
+  List.iter
+    (fun (a : Kft_apps.Apps.app) ->
+      let spliced, n = splice_single_config a.program in
+      Alcotest.(check bool) (a.app_name ^ ": guards spliced") true (n > 0);
+      match
+        Kft_sim.Profiler.verify ~tol:0.0 Util.device ~original:a.program ~transformed:spliced
+      with
+      | Ok () -> ()
+      | Error diffs ->
+          Alcotest.failf "guard splicing changed results on %s: %s" a.app_name
+            (String.concat "," (List.map fst diffs)))
+    [ Kft_apps.Apps.mitgcm (); Kft_apps.Apps.scale_les () ]
+
 let suite =
   suite
   @ [
       Alcotest.test_case "fused quickstart: provably-true guard eliminated and validated"
         `Quick test_fused_guard_elimination;
+      Alcotest.test_case "MITgcm, SCALE-LES: spliced source guards keep results bit-identical"
+        `Quick test_source_guard_splice;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -318,17 +365,6 @@ let test_diagnostic_ordering () =
 
 module L = Kft_absint.Lint
 
-let lint_programs () =
-  List.map
-    (fun (a : Kft_apps.Apps.app) -> a.program)
-    (Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all ())
-
-let test_lint_jobs_stable () =
-  let ps = lint_programs () in
-  let j1 = L.render_json (L.programs ~jobs:1 ps) in
-  let j4 = L.render_json (L.programs ~jobs:4 ps) in
-  Alcotest.(check string) "JSON byte-stable across --jobs" j1 j4
-
 let test_lint_golden_quickstart () =
   let p = (Kft_apps.Apps.quickstart ()).program in
   let fs = L.program p in
@@ -381,7 +417,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_footprint_sound;
       Alcotest.test_case "kft_verify: merged diagnostics are deterministically ordered"
         `Quick test_diagnostic_ordering;
-      Alcotest.test_case "lint: JSON byte-stable across jobs" `Quick test_lint_jobs_stable;
       Alcotest.test_case "lint: golden quickstart report" `Quick test_lint_golden_quickstart;
       Alcotest.test_case "lint: golden AWP-ODC-GPU rule counts" `Quick test_lint_golden_awp;
       Alcotest.test_case "lint: footprint-drift cross-check" `Quick test_footprint_drift;

@@ -1,76 +1,30 @@
 (* Golden bit-exactness regression.
 
-   Pins the GGA search outcome (best fitness, fusion groups, fissioned
-   set) for the quickstart example and two of the six applications at a
-   fixed small budget. The engine determinism contract says these values
-   are a pure function of (program, params, seed) — independent of the
-   worker count and of whether the memo cache is on — so any drift here
-   means a behavioural change in the search, the performance model, or
-   the frontend, and the goldens must be re-derived consciously.
+   Two gates, both re-derived the same way: run the suite; the Alcotest
+   diff prints the actual rendered summary, which becomes the new golden
+   string.
 
-   To re-derive: run the suite; the Alcotest diff prints the actual
-   rendered summary, which becomes the new golden string. *)
+   Search outcomes pin the GGA result (best fitness, fusion groups,
+   fissioned set) for the quickstart example and two of the six
+   applications at a fixed small budget. The engine determinism contract
+   says these values are a pure function of (program, params, seed) —
+   independent of the worker count and of whether the memo cache is on —
+   so any drift here means a behavioural change in the search, the
+   performance model, or the frontend, and the goldens must be
+   re-derived consciously.
+
+   Work counters pin, for each of the six applications, one transform at
+   the kft-transform defaults (150 generations x 40, seed 42, jobs 1):
+   the speedup bits, a digest of the transformed program (the MD5 of
+   what `kft-transform --emit-cuda` writes), the verifier's
+   work and verdict counts, the genomes the search computed and
+   requested, the baseline's simulated threads and the arena-pool
+   traffic. None of them depends on the host or the clock, so the gate
+   is exact: a change that moves any of them changes what the pipeline
+   does, not how fast it runs. *)
 
 module F = Kft_framework.Framework
 module Apps = Kft_apps.Apps
-open Kft_cuda.Ast
-
-(* Same three-kernel program as examples/quickstart.ml. *)
-let quickstart_source =
-  {|
-__global__ void diffuse(const double *U, double *V, int nx, int ny, int nz, double c) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i >= 1 && i < nx - 1 && j >= 1 && j < ny - 1) {
-    for (int k = 1; k < nz - 1; k++) {
-      V[(k * ny + j) * nx + i] = c * (U[(k * ny + j) * nx + i + 1] + U[(k * ny + j) * nx + i - 1]
-        + U[(k * ny + (j + 1)) * nx + i] + U[(k * ny + (j - 1)) * nx + i]
-        + U[((k + 1) * ny + j) * nx + i] + U[((k - 1) * ny + j) * nx + i]
-        - 6.0 * U[(k * ny + j) * nx + i]);
-    }
-  }
-}
-__global__ void smooth(const double *V, const double *U, double *W, int nx, int ny, int nz, double c) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i >= 2 && i < nx - 2 && j >= 2 && j < ny - 2) {
-    for (int k = 2; k < nz - 2; k++) {
-      W[(k * ny + j) * nx + i] = 0.25 * (V[(k * ny + j) * nx + i + 1] + V[(k * ny + j) * nx + i - 1]
-        + V[(k * ny + (j + 1)) * nx + i] + V[(k * ny + (j - 1)) * nx + i])
-        + c * U[(k * ny + j) * nx + i];
-    }
-  }
-}
-__global__ void relax(const double *W, double *U2, int nx, int ny, int nz, double c) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i < nx && j < ny) {
-    for (int k = 0; k < nz; k++) {
-      U2[(k * ny + j) * nx + i] = c * W[(k * ny + j) * nx + i];
-    }
-  }
-}
-|}
-
-let quickstart_program () =
-  let nx, ny, nz = (64, 16, 12) in
-  let kernels = Kft_cuda.Parse.kernels quickstart_source in
-  let arr name = { a_name = name; a_elem_ty = Double; a_dims = [ nx; ny; nz ] } in
-  let dims_args = [ Arg_int nx; Arg_int ny; Arg_int nz; Arg_double 0.125 ] in
-  let launch kernel args =
-    Launch { l_kernel = kernel; l_domain = (nx, ny, 1); l_block = (32, 4, 1); l_args = args }
-  in
-  {
-    p_name = "quickstart";
-    p_arrays = [ arr "U"; arr "V"; arr "W"; arr "U2" ];
-    p_kernels = kernels;
-    p_schedule =
-      [
-        launch "diffuse" ([ Arg_array "U"; Arg_array "V" ] @ dims_args);
-        launch "smooth" ([ Arg_array "V"; Arg_array "U"; Arg_array "W" ] @ dims_args);
-        launch "relax" ([ Arg_array "W"; Arg_array "U2" ] @ dims_args);
-      ];
-  }
 
 (* Fixed small budget: large enough that the search does real work
    (crossover, mutation, fission decisions), small enough for tier-1. *)
@@ -116,12 +70,102 @@ let fluam_golden =
      part_02 part_03 part_04 part_05 part_06 part_07 part_08 part_09 part_10 part_11 part_12 \
      rk_01 rk_02 rk_03 rk_04 rk_05 rk_06 rk_07 rk_09 rk_10\n" ^ "fissioned=\n"
 
+(* The kft-transform defaults: the CLI's device (launch overhead scaled
+   to the reduced grids), 150 generations x 40 individuals, seed 42 for
+   the search and the data, sequential evaluation with the memo on. *)
+let cli_config =
+  {
+    F.default_config with
+    device = Apps.bench_device;
+    gga_params =
+      { Kft_gga.Gga.default_params with generations = 150; population = 40; seed = 42 };
+  }
+
+let render_counters (r : F.report) =
+  let v = r.verify_report.stats in
+  let threads =
+    List.fold_left
+      (fun n (k : Kft_sim.Profiler.kernel_profile) -> n + k.stats.threads_launched)
+      0 r.baseline.profiles
+  in
+  String.concat ""
+    [
+      Printf.sprintf "speedup=%h\n" r.speedup;
+      Printf.sprintf "program=%s\n"
+        (Digest.to_hex (Digest.string (Kft_cuda.Pp.program r.transformed)));
+      Printf.sprintf "verify events=%d launches_checked=%d race_proved=%d race_fallback=%d\n"
+        v.events v.launches_checked v.race_proved v.race_fallback;
+      (match r.gga with
+      | None -> "gga=none\n"
+      | Some g ->
+          Printf.sprintf "gga es_computed=%d es_requested=%d\n" g.engine_stats.es_computed
+            g.engine_stats.es_requested);
+      Printf.sprintf "baseline threads=%d\n" threads;
+      Printf.sprintf "pool requests=%d cells_requested=%d\n" r.pool_stats.requests
+        r.pool_stats.cells_requested;
+    ]
+
+let counters_golden =
+  [
+    ( "SCALE-LES",
+      "speedup=0x1.3b98bbcebb239p+0\n"
+      ^ "program=0131dddc7be72016f07241328a8a3d3a\n"
+      ^ "verify events=0 launches_checked=44 race_proved=44 race_fallback=0\n"
+      ^ "gga es_computed=2027 es_requested=5740\n"
+      ^ "baseline threads=173568\n"
+      ^ "pool requests=2 cells_requested=3096576\n" );
+    ( "HOMME",
+      "speedup=0x1.5982a36e2c8e3p+0\n"
+      ^ "program=e12e0083cc0329b10fa0d16e67d5e897\n"
+      ^ "verify events=1944676 launches_checked=25 race_proved=22 race_fallback=3\n"
+      ^ "gga es_computed=875 es_requested=5740\n"
+      ^ "baseline threads=66048\n"
+      ^ "pool requests=2 cells_requested=1658880\n" );
+    ( "Fluam",
+      "speedup=0x1.2382203e4a9fp+0\n"
+      ^ "program=e1d8d991271ce64bbfbf2de5a6eb1cee\n"
+      ^ "verify events=539136 launches_checked=80 race_proved=68 race_fallback=12\n"
+      ^ "gga es_computed=980 es_requested=5740\n"
+      ^ "baseline threads=104448\n"
+      ^ "pool requests=2 cells_requested=1265664\n" );
+    ( "MITgcm",
+      "speedup=0x1.4bf36865b09a5p+0\n"
+      ^ "program=e006547a91d38f53438c1b5502bab424\n"
+      ^ "verify events=0 launches_checked=27 race_proved=27 race_fallback=0\n"
+      ^ "gga es_computed=359 es_requested=5740\n"
+      ^ "baseline threads=37888\n"
+      ^ "pool requests=2 cells_requested=737280\n" );
+    ( "AWP-ODC-GPU",
+      "speedup=0x1.e86661fdab9f2p+0\n"
+      ^ "program=aaabc7b83b08e78ae608b53bf7832816\n"
+      ^ "verify events=0 launches_checked=11 race_proved=11 race_fallback=0\n"
+      ^ "gga es_computed=175 es_requested=5740\n"
+      ^ "baseline threads=12288\n"
+      ^ "pool requests=3 cells_requested=700416\n" );
+    ( "B-CALM",
+      "speedup=0x1.55b636f288f9ep+0\n"
+      ^ "program=4370f2bbfc3de06c526ce03d01b9fe87\n"
+      ^ "verify events=0 launches_checked=20 race_proved=20 race_fallback=0\n"
+      ^ "gga es_computed=486 es_requested=5740\n"
+      ^ "baseline threads=23552\n"
+      ^ "pool requests=3 cells_requested=1253376\n" );
+  ]
+
+let check_counters (a : Apps.app) () =
+  let r = F.transform ~config:cli_config a.program in
+  Alcotest.(check string) (a.app_name ^ " work counters pinned")
+    (List.assoc a.app_name counters_golden) (render_counters r)
+
 let suite =
   [
     Alcotest.test_case "quickstart golden" `Quick
-      (fun () -> check_golden "quickstart" (quickstart_program ()) quickstart_golden ());
+      (fun () -> check_golden "quickstart" (Apps.quickstart ()).program quickstart_golden ());
     Alcotest.test_case "MITgcm golden" `Quick
       (fun () -> check_golden "mitgcm" (Apps.mitgcm ()).program mitgcm_golden ());
     Alcotest.test_case "Fluam golden" `Quick
       (fun () -> check_golden "fluam" (Apps.fluam ()).program fluam_golden ());
   ]
+  @ List.map
+      (fun (a : Apps.app) ->
+        Alcotest.test_case (a.app_name ^ " work counters") `Quick (check_counters a))
+      (Apps.all ())

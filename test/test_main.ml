@@ -53,26 +53,30 @@ let test_lint_unknown_subcommand () =
   let rc, _, _ = kft [| "kft"; "frobnicate" |] in
   Alcotest.(check int) "cmdliner cli error" 124 rc
 
+(* two programs, so -j 4 really fans the lint out over worker domains *)
 let test_lint_trace () =
   with_tmp_files 3 @@ fun files ->
   let f1, f2, f4 = match files with [ a; b; c ] -> (a, b, c) | _ -> assert false in
   let run file jobs =
-    let rc, _, _ =
+    let rc, out, _ =
       kft
         [|
-          "kft"; "lint"; "--no-profile"; "-a"; "quickstart"; "-j"; string_of_int jobs;
-          "--trace"; file;
+          "kft"; "lint"; "--json"; "--no-profile"; "-a"; "quickstart"; "-a"; "MITgcm"; "-j";
+          string_of_int jobs; "--trace"; file;
         |]
     in
-    Alcotest.(check bool) "lint with --trace succeeds" true (rc = 0 || rc = 1)
+    Alcotest.(check bool) "lint with --trace succeeds" true (rc = 0 || rc = 1);
+    out
   in
-  run f1 1;
-  run f2 1;
-  run f4 4;
+  let o1 = run f1 1 in
+  ignore (run f2 1);
+  let o4 = run f4 4 in
+  Alcotest.(check string) "report byte-identical across --jobs 1/4" o1 o4;
   let t1 = Util.read_file f1 in
   check_valid_json "lint trace" t1;
   Alcotest.(check bool) "trace header" true (Util.contains t1 "\"tool\":\"kft-trace\"");
-  Alcotest.(check bool) "per-program span" true (Util.contains t1 "lint:quickstart");
+  Alcotest.(check bool) "per-program spans" true
+    (Util.contains t1 "lint:quickstart" && Util.contains t1 "lint:MITgcm");
   Alcotest.(check string) "byte-identical across two runs" t1 (Util.read_file f2);
   Alcotest.(check string) "byte-identical across --jobs 1/4" t1 (Util.read_file f4)
 
@@ -97,6 +101,7 @@ let test_schedflow_unknown_program () =
   Alcotest.(check bool) "names the unknown program" true
     (Util.contains err "unknown program")
 
+(* two programs, so -j 4 really fans the analyses out over worker domains *)
 let test_schedflow_jobs_identical () =
   with_tmp_files 2 @@ fun files ->
   let f1, f4 = match files with [ a; b ] -> (a, b) | _ -> assert false in
@@ -104,8 +109,8 @@ let test_schedflow_jobs_identical () =
     let rc, out, _ =
       kft
         [|
-          "kft"; "schedflow"; "--json"; "-a"; "quickstart"; "-j"; string_of_int jobs;
-          "--trace"; file;
+          "kft"; "schedflow"; "--json"; "-a"; "quickstart"; "-a"; "MITgcm"; "-j";
+          string_of_int jobs; "--trace"; file;
         |]
     in
     Alcotest.(check int) "clean exit" 0 rc;
@@ -116,7 +121,8 @@ let test_schedflow_jobs_identical () =
   Alcotest.(check string) "report byte-identical across --jobs 1/4" o1 o4;
   let t1 = Util.read_file f1 in
   check_valid_json "schedflow trace" t1;
-  Alcotest.(check bool) "per-program span" true (Util.contains t1 "schedflow:quickstart");
+  Alcotest.(check bool) "per-program spans" true
+    (Util.contains t1 "schedflow:quickstart" && Util.contains t1 "schedflow:MITgcm");
   Alcotest.(check string) "trace byte-identical across --jobs 1/4" t1 (Util.read_file f4)
 
 (* ---------------- kft-transform ---------------- *)

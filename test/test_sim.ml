@@ -4,6 +4,7 @@ open Kft_cuda.Ast
 module Mem = Kft_sim.Memory
 module I = Kft_sim.Interp
 module T = Kft_sim.Timing
+module V = Kft_verify.Verify
 
 let dims = (16, 8, 4)
 let cells = 16 * 8 * 4
@@ -150,10 +151,13 @@ __global__ void stage(const double *A, double *B, int nx, int ny, int nz, double
   let b = Mem.get_array mem "B" in
   Array.iteri (fun i av -> Util.check_float "staged copy" (2.0 *. av) b.(i)) a;
   Alcotest.(check int) "shared bytes" (4 * 8 * 8) stats.shared_bytes_per_block;
-  Alcotest.(check int) "no hazards with barrier" 0 stats.shared_hazards
+  let r = V.verify_program prog in
+  Alcotest.(check bool) "verifier: clean with barrier" true (V.is_clean r);
+  Alcotest.(check int) "verifier: races proved, not walked" 1 r.stats.race_proved
 
 let test_hazard_detection () =
-  (* neighbour read of shared without a barrier: hazard flagged *)
+  (* neighbour read of shared without a barrier: the simulator runs it
+     (lockstep hides the race), the static verifier reports it *)
   let src =
     {|
 __global__ void racy(const double *A, double *B, int nx, int ny, int nz, double c) {
@@ -176,8 +180,10 @@ __global__ void racy(const double *A, double *B, int nx, int ny, int nz, double 
   in
   let prog = one_kernel_prog src "racy" [ "A"; "B" ] 1.0 in
   let mem = Mem.create prog.p_arrays in
-  let stats = I.launch mem prog (Util.launch_of prog "racy") in
-  Alcotest.(check bool) "hazards detected" true (stats.shared_hazards > 0)
+  ignore (I.launch mem prog (Util.launch_of prog "racy"));
+  let r = V.verify_program prog in
+  Alcotest.(check bool) "shared race reported" true
+    (List.exists (fun (d : V.diagnostic) -> d.d_pass = V.Race) r.diagnostics)
 
 let test_barrier_divergence_rejected () =
   let src =
@@ -235,7 +241,6 @@ let mk_stats ?(read = 0) ?(write = 0) ?(flops = 0.0) ?(div = 0) ?(evals = 0) ?(b
     flops;
     warp_cond_evals = evals;
     divergent_warp_cond_evals = div;
-    shared_hazards = 0;
     threads_launched = threads;
     threads_active = threads;
     shared_bytes_per_block = 0;
