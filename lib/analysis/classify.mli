@@ -15,14 +15,6 @@ type kind = Compute_bound | Memory_bound | Boundary | Latency_bound
 
 val to_string : kind -> string
 
-val operational_intensity :
-  flops:float -> bytes:float -> float
-(** FLOPs per byte of global traffic. *)
-
-val ridge_point : Kft_device.Device.t -> float
-(** Operational intensity at which the Roofline turns flat:
-    peak GFLOPS / peak bandwidth. *)
-
 val classify_static :
   device:Kft_device.Device.t ->
   flops:float ->
@@ -49,7 +41,3 @@ val classify_measured :
 (** The expert filter: additionally marks kernels whose achieved
     bandwidth and achieved GFLOPS are both far below the device roofline
     as [Latency_bound]. *)
-
-val boundary_coverage_threshold : float
-(** Fraction of the largest touched array below which a memory-bound
-    kernel counts as a boundary kernel (default 0.10). *)

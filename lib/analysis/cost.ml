@@ -7,6 +7,7 @@ type t = {
   dependent_chain : int;
 }
 
+(* arithmetic operation count of one right-hand side *)
 let rec flops_of_assignment e =
   match e with
   | Int_lit _ | Double_lit _ | Var _ | Builtin _ -> 0

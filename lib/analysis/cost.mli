@@ -25,6 +25,3 @@ val estimate_registers : Kft_cuda.Ast.kernel -> int
     touched and expression depth — the analysis the paper leverages from
     its performance model to feed the occupancy calculator. Clamped to
     [16, 160]. *)
-
-val flops_of_assignment : Kft_cuda.Ast.expr -> int
-(** Arithmetic operation count of one right-hand side. *)

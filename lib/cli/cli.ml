@@ -272,20 +272,13 @@ let list_apps () =
         a.description)
     (transform_apps ())
 
-let transform_run app_name device_name generations population jobs no_memo no_fission
-    no_tuning expert_codegen filter verify seed out_dir emit_cuda quiet list trace_file
-    chrome_file backend_name =
+let transform_run app_name device_name generations population jobs no_fission no_tuning
+    expert_codegen filter verify seed out_dir emit_cuda quiet list trace_file chrome_file =
   if list then begin
     list_apps ();
     `Ok ()
   end
   else
-    match Kft_sim.Interp.backend_of_string backend_name with
-    | None ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown backend %S (expected interp or affine)" backend_name )
-    | Some backend -> (
     match Kft_apps.Apps.by_name app_name with
     | None ->
         `Error (false, Printf.sprintf "unknown application %S (try --list)" app_name)
@@ -329,7 +322,6 @@ let transform_run app_name device_name generations population jobs no_memo no_fi
                     fission_enabled = not no_fission;
                     seed;
                   };
-                backend;
               }
             in
             let trace =
@@ -338,7 +330,7 @@ let transform_run app_name device_name generations population jobs no_memo no_fi
               | _ -> Some (Trace.create "kft-transform")
             in
             let report =
-              Kft_engine.Engine.with_engine ~jobs ~memo:(not no_memo) (fun engine ->
+              Kft_engine.Engine.with_engine ~jobs (fun engine ->
                   Kft_framework.Framework.transform ~config ~engine ?trace app.program)
             in
             if not quiet then print_string (Kft_framework.Framework.stage_report report);
@@ -393,7 +385,7 @@ let transform_run app_name device_name generations population jobs no_memo no_fi
                 `Error
                   ( false,
                     Printf.sprintf "output verification failed on %d arrays"
-                      (List.length diffs) ))))
+                      (List.length diffs) )))
 
 let transform_cmd =
   let app_arg =
@@ -410,9 +402,6 @@ let transform_cmd =
   in
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains shared by the GGA search and the simulator (the baseline, fission pre-run and transformed profiles fan each launch's thread blocks over the pool). Results are bit-identical at any worker count (the paper uses 8 Xeon cores).")
-  in
-  let no_memo =
-    Arg.(value & flag & info [ "no-memo" ] ~doc:"Disable the genome-keyed fitness memo cache (ablation; results are unchanged, only slower).")
   in
   let no_fission = Arg.(value & flag & info [ "no-fission" ] ~doc:"Disable lazy kernel fission.") in
   let no_tuning =
@@ -442,15 +431,12 @@ let transform_cmd =
   let chrome_file =
     Arg.(value & opt (some string) None & info [ "trace-chrome" ] ~docv:"FILE" ~doc:"Write the pipeline trace in Chrome trace_event format; load it in about:tracing or Perfetto.")
   in
-  let backend_name =
-    Arg.(value & opt string "affine" & info [ "backend" ] ~docv:"interp|affine" ~doc:"Simulator execution backend for every pipeline run: $(b,interp) is the reference interpreter, $(b,affine) the compiled lockstep path with affine strength reduction. Both produce bit-identical results. $(b,auto) and $(b,vector) are accepted aliases of $(b,affine).")
-  in
   let term =
     Term.ret
       Term.(
-        const transform_run $ app_arg $ device $ generations $ population $ jobs $ no_memo
-        $ no_fission $ no_tuning $ expert $ filter $ verify $ seed $ out_dir $ emit_cuda
-        $ quiet $ list $ trace_file $ chrome_file $ backend_name)
+        const transform_run $ app_arg $ device $ generations $ population $ jobs $ no_fission
+        $ no_tuning $ expert $ filter $ verify $ seed $ out_dir $ emit_cuda $ quiet $ list
+        $ trace_file $ chrome_file)
   in
   Cmd.v
     (Cmd.info "kft-transform" ~version:"1.0.0"

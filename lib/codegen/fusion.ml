@@ -37,6 +37,8 @@ type plan = {
   p_shared_bytes : int -> int -> int;
 }
 
+(* maximum supported halo radius: wider stencils make the thread-block
+   halo "exceedingly large" (Section 7) *)
 let radius_cap = 4
 
 (* ------------------------------------------------------------------ *)

@@ -66,10 +66,6 @@ val check_group : Canonical.member list -> (plan, string) result
 (** Feasibility + staging plan. [Error] carries the human-readable
     reason reported to the programmer. *)
 
-val radius_cap : int
-(** Maximum supported halo radius (stencils wider than this make the
-    thread-block halo "exceedingly large", Section 7). *)
-
 val build :
   Kft_device.Device.t ->
   options ->

@@ -84,8 +84,6 @@ let find_array p name = List.find (fun a -> a.a_name = name) p.p_arrays
 
 let array_cells a = List.fold_left ( * ) 1 a.a_dims
 
-let scalar_bytes = function Int -> 4 | Double -> 8 | Bool -> 1
-
 let param_name = function
   | Array_param { name; _ } -> name
   | Scalar_param { name; _ } -> name
@@ -213,7 +211,5 @@ let referenced_arrays k =
   List.filter (fun a -> List.mem a used) array_params
 
 let equal_expr (a : expr) (b : expr) = a = b
-
-let equal_stmts (a : stmt list) (b : stmt list) = a = b
 
 let equal_kernel (a : kernel) (b : kernel) = a = b

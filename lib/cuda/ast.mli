@@ -111,8 +111,6 @@ val find_array : program -> string -> array_decl
 
 val array_cells : array_decl -> int
 
-val scalar_bytes : scalar_ty -> int
-
 val param_name : param -> string
 
 val bind_args : kernel -> arg list -> (string * arg) list
@@ -155,7 +153,5 @@ val referenced_arrays : kernel -> string list
 (** Array parameters of the kernel actually used in its body. *)
 
 val equal_expr : expr -> expr -> bool
-
-val equal_stmts : stmt list -> stmt list -> bool
 
 val equal_kernel : kernel -> kernel -> bool

@@ -25,28 +25,3 @@ let record s p =
   s
 
 let find s = if is_immediate s then none else try Tbl.find table s with Not_found -> none
-
-let locate body s =
-  let p = find s in
-  if not (is_none p) then p
-  else
-    (* Fall back to the closest located ancestor (physical identity). *)
-    let result = ref none in
-    let rec walk inherited stmts =
-      List.iter
-        (fun (st : Ast.stmt) ->
-          let here =
-            let q = find st in
-            if is_none q then inherited else q
-          in
-          if st == s && is_none !result then result := here;
-          match st with
-          | Ast.If (_, t, e) ->
-              walk here t;
-              walk here e
-          | Ast.For f -> walk here f.body
-          | _ -> ())
-        stmts
-    in
-    walk none body;
-    !result

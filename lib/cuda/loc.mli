@@ -30,8 +30,3 @@ val record : Ast.stmt -> pos -> Ast.stmt
 
 val find : Ast.stmt -> pos
 (** Position recorded for this statement, or {!none}. *)
-
-val locate : Ast.stmt list -> Ast.stmt -> pos
-(** [locate body s] is {!find}[ s] when recorded; otherwise the
-    position of the closest located ancestor of [s] inside [body]
-    (useful for constant constructors such as barriers). *)

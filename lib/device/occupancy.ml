@@ -60,6 +60,9 @@ let calculate (d : Device.t) u =
 
 type block_dims = int * int * int
 
+(* the tuner's 2D/3D block shapes: x a multiple of the warp size for
+   coalescing, total threads within the device limit; sorted by total
+   size then x-width *)
 let candidate_blocks (d : Device.t) =
   let xs = [ 32; 64; 128; 256; 512 ] in
   let ys = [ 1; 2; 4; 8; 16 ] in

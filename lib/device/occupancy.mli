@@ -30,11 +30,6 @@ val calculate : Device.t -> usage -> result
 
 type block_dims = int * int * int
 
-val candidate_blocks : Device.t -> block_dims list
-(** Enumerated 2D/3D block shapes used by the tuner: x dimension a
-    multiple of the warp size for coalescing, total threads within the
-    device limit. Sorted by total size then x-width. *)
-
 val tune :
   Device.t ->
   regs_per_thread:int ->

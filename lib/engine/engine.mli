@@ -31,13 +31,11 @@ module Pool : sig
     st_workers : int;
     st_batches : int;  (** {!map} calls submitted over the pool's lifetime *)
     st_items : int;  (** total items across those batches *)
-    st_max_queue : int;
-        (** deepest total across the per-worker deques observed at
-            submission *)
+    st_max_queue : int;  (** deepest task queue observed at submission *)
     st_steals : int;
-        (** tasks a worker took from another worker's deque after
-            draining its own. Scheduling-dependent — trace side-channel
-            data only. *)
+        (** always [0]: the pool has one shared queue, so no task is
+            ever stolen. Kept only for the benchmark harness, which
+            still reads it. *)
     st_worker_tasks : int list;
         (** tasks executed per worker, in worker index order (slot 0 also
             counts the inline sequential path). The split across workers
@@ -67,12 +65,11 @@ module Pool : sig
       width. *)
 
   val map : t -> ('a -> 'b) -> 'a list -> 'b list
-  (** Deterministic parallel map with work stealing: contiguous chunks
-      of the input are dealt round-robin onto per-worker deques; a
-      worker that drains its own deque steals from the back of another's
-      (see {!stats}[.st_steals]). Stealing only moves work between
-      domains — results are reduced in submission index order, so the
-      returned list is bit-identical at any [jobs] setting. If one or
+  (** Deterministic parallel map: contiguous chunks of the input go
+      onto one shared FIFO, and any idle worker takes the next chunk.
+      Which domain runs a chunk is scheduling-dependent, but results are
+      reduced in submission index order, so the returned list is
+      bit-identical at any [jobs] setting. If one or
       more applications raise, every task still runs to completion (the
       pool stays reusable) and the exception of the {e lowest submission
       index} is re-raised in the caller. Raises [Invalid_argument] after

@@ -25,7 +25,6 @@ type config = {
   seed : int;
   verify_tolerance : float;
   sim_cache : Meta.Sim_cache.t option;
-  backend : Kft_sim.Interp.backend;
 }
 
 let default_config =
@@ -38,7 +37,6 @@ let default_config =
     seed = 42;
     verify_tolerance = 1e-9;
     sim_cache = None;
-    backend = Kft_sim.Interp.Affine;
   }
 
 type hooks = {
@@ -156,14 +154,13 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
            (String.concat "\n" (List.map Kft_cuda.Check.pp_error errs))));
   let device = config.device in
   let cache = config.sim_cache in
-  let backend = config.backend in
   let cache_stats_before = Option.map Meta.Sim_cache.stats cache in
   let pool_stats_before = Kft_sim.Memory.Pool.stats () in
   (* stage 1: metadata. The baseline run is kept: its final memory is
      the reference for output verification below. *)
   let meta, baseline =
     Trace.with_span trace "gather" (fun () ->
-        let meta, baseline = Meta.gather ?cache ?engine ~backend ?trace ~seed:config.seed device prog in
+        let meta, baseline = Meta.gather ?cache ?engine ?trace ~seed:config.seed device prog in
         Trace.add trace "kernels" (List.length meta.Meta.performance);
         (meta, baseline))
   in
@@ -234,7 +231,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         let meta_fissioned =
           Option.map
             (fun p ->
-              let m, grun = Meta.gather ?cache ?engine ~backend ?trace ~seed:config.seed device p in
+              let m, grun = Meta.gather ?cache ?engine ?trace ~seed:config.seed device p in
               (* only the metadata survives this pre-step: recycle the
                  profiled run's arena instead of waiting for the GC *)
               Kft_sim.Memory.release grun.Kft_sim.Profiler.memory;
@@ -584,7 +581,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   let transformed = codegen.program in
   let transformed_run =
     Trace.with_span trace "profile-transformed" (fun () ->
-        Meta.profile ?cache ?engine ~backend ?trace ~seed:config.seed device transformed)
+        Meta.profile ?cache ?engine ?trace ~seed:config.seed device transformed)
   in
   (* output verification compares the final memories of the two runs
      already held: both started from the same seeded memory, so this is
@@ -666,7 +663,6 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
       Trace.note trace "batches" (Trace.Int ps.Kft_engine.Engine.Pool.st_batches);
       Trace.note trace "batch_items" (Trace.Int ps.Kft_engine.Engine.Pool.st_items);
       Trace.note trace "max_queue" (Trace.Int ps.Kft_engine.Engine.Pool.st_max_queue);
-      Trace.note trace "steals" (Trace.Int ps.Kft_engine.Engine.Pool.st_steals);
       Trace.note trace "worker_tasks"
         (Trace.Str
            (String.concat ","

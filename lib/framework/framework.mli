@@ -37,17 +37,13 @@ type config = {
           (gathering, the fissioned-variant run and the transformed
           run). One transform runs each of them once, so a cache only
           pays off when it is shared across transforms; [None] (the
-          default) simulates every run afresh *)
-  backend : Kft_sim.Interp.backend;
-      (** simulator execution backend for those runs. Backends are
-          bit-identical, so this only affects pipeline wall time; the
-          default is {!Kft_sim.Interp.Affine}. *)
+          default) simulates every run afresh. Every run takes the
+          compiled {!Kft_sim.Interp.Affine} path *)
 }
 
 val default_config : config
 (** K20X, the paper's GGA defaults, automated codegen, automated
-    filtering, advisory static verification, no profile cache and the
-    {!Kft_sim.Interp.Affine} execution backend. *)
+    filtering, advisory static verification and no profile cache. *)
 
 type hooks = {
   amend_metadata : Kft_metadata.Metadata.t -> Kft_metadata.Metadata.t;
@@ -146,11 +142,6 @@ val transform :
     only, so {!Kft_trace.Trace.render_json} stays byte-identical at any
     worker count. The [stage_report] appends the rendered tree when the
     report carries a trace. *)
-
-val classify_invocation :
-  filter_mode -> Kft_metadata.Metadata.t -> Kft_cuda.Ast.program ->
-  Kft_ddg.Ddg.invocation -> Kft_analysis.Classify.kind
-(** Exposed for tests and the filtering benchmarks. *)
 
 val stage_report : report -> string
 (** Human-readable multi-stage report (the "report on the output of each

@@ -3,7 +3,7 @@ exception Duplicate_node of string
 exception No_such_node of string
 
 type 'a node = {
-  mutable payload : 'a;
+  payload : 'a;
   mutable succs : string list; (* reverse insertion order *)
   mutable preds : string list;
   order : int; (* insertion index, for stable traversals *)
@@ -34,8 +34,6 @@ let add_node g ~key payload =
 let ensure_node g ~key payload = if not (mem_node g key) then add_node g ~key payload
 
 let payload g key = (node g key).payload
-
-let set_payload g key p = (node g key).payload <- p
 
 let mem_edge g a b =
   match Hashtbl.find_opt g.tbl a with
@@ -73,9 +71,6 @@ let edges g =
   List.concat_map (fun a -> List.map (fun b -> (a, b)) (succs g a)) (nodes g)
 
 let edge_count g = List.length (edges g)
-
-let fold_nodes g ~init ~f =
-  List.fold_left (fun acc k -> f acc k (payload g k)) init (nodes g)
 
 let iter_nodes g ~f = List.iter (fun k -> f k (payload g k)) (nodes g)
 

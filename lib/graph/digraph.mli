@@ -33,8 +33,6 @@ val mem_node : 'a t -> string -> bool
 val payload : 'a t -> string -> 'a
 (** Raises {!No_such_node}. *)
 
-val set_payload : 'a t -> string -> 'a -> unit
-
 val add_edge : 'a t -> string -> string -> unit
 (** [add_edge g a b] adds the edge a->b (idempotent). Both endpoints must
     exist; raises {!No_such_node} otherwise. *)
@@ -56,10 +54,6 @@ val edges : 'a t -> (string * string) list
 val node_count : 'a t -> int
 
 val edge_count : 'a t -> int
-
-val fold_nodes : 'a t -> init:'b -> f:('b -> string -> 'a -> 'b) -> 'b
-
-val iter_nodes : 'a t -> f:(string -> 'a -> unit) -> unit
 
 val topo_sort : 'a t -> string list
 (** Stable topological order (ties broken by insertion order), in

@@ -96,10 +96,7 @@ module Sim_cache = struct
      marshalled (program, seed, device) triple keys "the same simulation":
      the program carries every kernel AST and the full launch schedule
      (grid/block configs and argument bindings), [seed] fixes the initial
-     memory image, and the device fixes the timing model. The execution
-     backend is deliberately not part of the key: all backends are
-     bit-identical, so a profile produced under one backend is a valid
-     hit for any other.
+     memory image, and the device fixes the timing model.
 
      The key additionally carries a memory-representation tag. Entries
      written under a different device-memory substrate must read as
@@ -132,13 +129,13 @@ module Sim_cache = struct
     }
 end
 
-let profile ?cache ?engine ?backend ?trace ?(seed = 42) device prog =
+let profile ?cache ?engine ?trace ?(seed = 42) device prog =
   (* cache attribution is per profiled program: hit/miss counters are a
      pure function of the call sequence, so they stay in the canonical
      trace channel *)
   Kft_trace.Trace.with_span trace ("profile:" ^ prog.p_name) @@ fun () ->
   match cache with
-  | None -> Kft_sim.Profiler.profile ?engine ?backend ?trace ~seed device prog
+  | None -> Kft_sim.Profiler.profile ?engine ?trace ~seed device prog
   | Some c -> (
       let key = Sim_cache.key ~seed device prog in
       match Sim_cache.Cache.find c key with
@@ -147,14 +144,14 @@ let profile ?cache ?engine ?backend ?trace ?(seed = 42) device prog =
           Sim_cache.run_of_entry entry
       | None ->
           Kft_trace.Trace.add trace "sim_cache_misses" 1;
-          let run = Kft_sim.Profiler.profile ?engine ?backend ?trace ~seed device prog in
+          let run = Kft_sim.Profiler.profile ?engine ?trace ~seed device prog in
           (* the cache holds a private snapshot: callers are free to
              mutate the run they got back without corrupting future hits *)
           Sim_cache.Cache.add c key (Sim_cache.entry_of_run run);
           run)
 
-let gather ?cache ?engine ?backend ?trace ?(seed = 42) device prog =
-  let run = profile ?cache ?engine ?backend ?trace ~seed device prog in
+let gather ?cache ?engine ?trace ?(seed = 42) device prog =
+  let run = profile ?cache ?engine ?trace ~seed device prog in
   (* map: host array -> kernels touching it *)
   let array_users : (string, string list) Hashtbl.t = Hashtbl.create 32 in
   List.iter

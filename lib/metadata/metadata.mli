@@ -53,9 +53,7 @@ module Sim_cache : sig
   (** Keyed profile cache: each distinct simulation — keyed by the digest
       of the marshalled (program, seed, device) triple, which covers the
       canonicalized kernel ASTs, the grid/block configuration of every
-      launch and the memory seed — runs at most once per cache. The
-      execution backend is deliberately excluded from the key: backends
-      are bit-identical, so one profile serves them all. Entries hold
+      launch and the memory seed — runs at most once per cache. Entries hold
       the final memory as a packed {!Kft_sim.Memory.snapshot}; a hit
       replays via [Array.blit] restore plus fresh stats records, so a
       replayed profile is bit-identical to the original run and
@@ -91,18 +89,17 @@ module Sim_cache : sig
 end
 
 val profile :
-  ?cache:Sim_cache.t -> ?engine:Kft_engine.Engine.t ->
-  ?backend:Kft_sim.Interp.backend -> ?trace:Kft_trace.Trace.t -> ?seed:int ->
-  Kft_device.Device.t -> Kft_cuda.Ast.program -> Kft_sim.Profiler.run
+  ?cache:Sim_cache.t -> ?engine:Kft_engine.Engine.t -> ?trace:Kft_trace.Trace.t ->
+  ?seed:int -> Kft_device.Device.t -> Kft_cuda.Ast.program -> Kft_sim.Profiler.run
 (** {!Kft_sim.Profiler.profile} through the cache: a hit replays the
     stored run (snapshot-restored) instead of re-simulating; a miss
-    simulates — block-parallel when [engine] is given, on [backend] when
-    given — and stores a private snapshot. *)
+    simulates on the compiled {!Kft_sim.Interp.Affine} path —
+    block-parallel when [engine] is given — and stores a private
+    snapshot. *)
 
 val gather :
-  ?cache:Sim_cache.t -> ?engine:Kft_engine.Engine.t ->
-  ?backend:Kft_sim.Interp.backend -> ?trace:Kft_trace.Trace.t -> ?seed:int ->
-  Kft_device.Device.t -> Kft_cuda.Ast.program -> t * Kft_sim.Profiler.run
+  ?cache:Sim_cache.t -> ?engine:Kft_engine.Engine.t -> ?trace:Kft_trace.Trace.t ->
+  ?seed:int -> Kft_device.Device.t -> Kft_cuda.Ast.program -> t * Kft_sim.Profiler.run
 (** The metadata-gathering stage: one instrumented run on the simulated
     device plus static analysis of every kernel. [cache] memoizes the
     instrumented run; [engine] runs it block-parallel. *)

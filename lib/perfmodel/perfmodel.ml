@@ -67,6 +67,8 @@ let halo_fraction ~block:(bx, by, _) ~radius:(rx, ry, _) =
   let padded = float_of_int ((bx + (2 * rx)) * (by + (2 * ry))) in
   (padded -. tile) /. tile
 
+(* members with loop-nest depth >= 2 realize only this fraction of the
+   projected reuse (the auto-codegen inefficiency of Figure 6) *)
 let nested_loop_reuse_discount = 0.25
 
 (* arrays touched by >= 2 members, with the max read radius over members *)

@@ -70,11 +70,6 @@ val objective_traffic : Kft_device.Device.t -> unit_model list list -> float
     black-box objective and select it in the parameter file): maximize
     the inverse of projected traffic + launch overheads. *)
 
-val nested_loop_reuse_discount : float
-(** Members with loop-nest depth >= 2 realize only this fraction of the
-    projected reuse (the auto-codegen inefficiency of Figure 6 — kept in
-    the model so projections stay honest about the generated code). *)
-
 val warp_size : int
 (** Lanes per warp on the modeled device class (32 for Kepler). *)
 

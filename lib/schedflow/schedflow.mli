@@ -61,9 +61,6 @@ type array_info = {
 
 type dep_kind = Raw | War | Waw
 
-val dep_kind_name : dep_kind -> string
-(** ["raw"] / ["war"] / ["waw"]. *)
-
 type dep = {
   dep_src : int;  (** earlier op index *)
   dep_dst : int;  (** later op index *)

@@ -34,25 +34,6 @@ let zero_stats ~shared_bytes_per_block ~blocks_launched =
     blocks_launched;
   }
 
-(* Per-block counter deltas against a snapshot taken at block entry. All
-   flop addends are [float_of_int] of static counts, so every partial sum
-   is an exactly-represented integer and the subtraction is exact: the
-   per-block deltas re-summed in block order reproduce the sequential
-   accumulator bit for bit. *)
-let diff_stats cur base =
-  {
-    global_read_bytes = cur.global_read_bytes - base.global_read_bytes;
-    global_write_bytes = cur.global_write_bytes - base.global_write_bytes;
-    flops = cur.flops -. base.flops;
-    warp_cond_evals = cur.warp_cond_evals - base.warp_cond_evals;
-    divergent_warp_cond_evals =
-      cur.divergent_warp_cond_evals - base.divergent_warp_cond_evals;
-    threads_launched = 0;
-    threads_active = cur.threads_active - base.threads_active;
-    shared_bytes_per_block = cur.shared_bytes_per_block;
-    blocks_launched = 1;
-  }
-
 exception Sim_error of { kernel : string; message : string }
 
 exception Thread_exit
@@ -101,8 +82,6 @@ type st = {
          checks, single-pass guard evaluation). [false] keeps the plain
          reference compilation, which the bit-identity tests run the
          optimized path against. *)
-  read_flags : (string, bool ref) Hashtbl.t;
-  write_flags : (string, bool ref) Hashtbl.t;
   acc : facc;
       (* float-expression accumulator for the fast path: compiled float
          closures are [int -> unit] writing here instead of returning a
@@ -111,7 +90,7 @@ type st = {
          to a single-float-field record is flat. *)
   flacc : facc;
       (* fast-path flop accumulator; folded into [stats.flops] once per
-         block (a [float] store into the mixed [stats] record boxes) *)
+         chunk (a [float] store into the mixed [stats] record boxes) *)
 }
 
 let err st msg = raise (Sim_error { kernel = st.kernel_name; message = msg })
@@ -121,14 +100,6 @@ let err st msg = raise (Sim_error { kernel = st.kernel_name; message = msg })
    affine path does not trace, so run with [~backend:Interpret].
    Used by the absint footprint-soundness property tests. *)
 let access_trace : (write:bool -> string -> int -> unit) option ref = ref None
-
-let usage_flag tbl name =
-  match Hashtbl.find_opt tbl name with
-  | Some r -> r
-  | None ->
-      let r = ref false in
-      Hashtbl.replace tbl name r;
-      r
 
 (* ------------------------------------------------------------------ *)
 (* Type inference over the subset                                      *)
@@ -484,7 +455,6 @@ and compile_float st lookup e : int -> float =
               in
               let n = A1.dim data in
               let stats = st.stats in
-              let touched = usage_flag st.read_flags a in
               fun t ->
                 let i = idx t in
                 if i < 0 || i >= n then
@@ -492,7 +462,6 @@ and compile_float st lookup e : int -> float =
                 else begin
                   (match !access_trace with Some f -> f ~write:false a i | None -> ());
                   stats.global_read_bytes <- stats.global_read_bytes + 8;
-                  touched := true;
                   A1.unsafe_get data i
                 end
           | Shared (slot, dims) ->
@@ -579,7 +548,6 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
               in
               let n = A1.dim data in
               let stats = st.stats in
-              let touched = usage_flag st.read_flags a in
               let oob i =
                 err st (Printf.sprintf "global array %s index %d out of bounds [0,%d)" a i n)
               in
@@ -601,17 +569,12 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
                     if i < 0 || i >= n then oob i
                     else begin
                       stats.global_read_bytes <- stats.global_read_bytes + 8;
-                      touched := true;
                       acc.v <- A1.unsafe_get data i
                     end
               | Some (arr, off) ->
                   fun t ->
                     let i = Array.unsafe_get arr t + off in
-                    if i < 0 || i >= n then oob i
-                    else begin
-                      touched := true;
-                      acc.v <- A1.unsafe_get data i
-                    end
+                    if i < 0 || i >= n then oob i else acc.v <- A1.unsafe_get data i
               | None ->
                   let idx = compile_int st lookup single in
                   if count then
@@ -620,17 +583,12 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
                       if i < 0 || i >= n then oob i
                       else begin
                         stats.global_read_bytes <- stats.global_read_bytes + 8;
-                        touched := true;
                         acc.v <- A1.unsafe_get data i
                       end
                   else
                     fun t ->
                       let i = idx t in
-                      if i < 0 || i >= n then oob i
-                      else begin
-                        touched := true;
-                        acc.v <- A1.unsafe_get data i
-                      end)
+                      if i < 0 || i >= n then oob i else acc.v <- A1.unsafe_get data i)
           | Shared (slot, dims) ->
               let idx_fns = List.map (compile_int st lookup) idxs in
               fun t -> acc.v <- st.shmem.(slot).(shared_addr st dims idx_fns a t)
@@ -1035,7 +993,6 @@ and compile_thread_stmt st lookup s : int -> unit =
           let rhs = acompile_float ~count:(sreads = None) st lookup e in
           let flops = float_of_int (float_flops lookup e) in
           let n = A1.dim data in
-          let touched = usage_flag st.write_flags a in
           let oob i =
             err st (Printf.sprintf "global array %s index %d out of bounds [0,%d)" a i n)
           in
@@ -1058,8 +1015,7 @@ and compile_thread_stmt st lookup s : int -> unit =
                   rhs t;
                   A1.unsafe_set data i acc.v;
                   stats.global_write_bytes <- stats.global_write_bytes + 8;
-                  fl.v <- fl.v +. flops;
-                  touched := true
+                  fl.v <- fl.v +. flops
                 end
           | Some (arr, off) ->
               fun t ->
@@ -1070,8 +1026,7 @@ and compile_thread_stmt st lookup s : int -> unit =
                   A1.unsafe_set data i acc.v;
                   stats.global_read_bytes <- stats.global_read_bytes + rb;
                   stats.global_write_bytes <- stats.global_write_bytes + 8;
-                  fl.v <- fl.v +. flops;
-                  touched := true
+                  fl.v <- fl.v +. flops
                 end
           | None ->
               let idx = compile_int st lookup single in
@@ -1083,8 +1038,7 @@ and compile_thread_stmt st lookup s : int -> unit =
                   A1.unsafe_set data i acc.v;
                   stats.global_read_bytes <- stats.global_read_bytes + rb;
                   stats.global_write_bytes <- stats.global_write_bytes + 8;
-                  fl.v <- fl.v +. flops;
-                  touched := true
+                  fl.v <- fl.v +. flops
                 end)
       | Global data ->
           let single =
@@ -1095,7 +1049,6 @@ and compile_thread_stmt st lookup s : int -> unit =
           let rhs = compile_float st lookup e in
           let flops = float_of_int (float_flops lookup e) in
           let n = A1.dim data in
-          let touched = usage_flag st.write_flags a in
           let idx = compile_int st lookup single in
           fun t ->
             let i = idx t in
@@ -1105,8 +1058,7 @@ and compile_thread_stmt st lookup s : int -> unit =
               (match !access_trace with Some f -> f ~write:true a i | None -> ());
               A1.unsafe_set data i (rhs t);
               stats.global_write_bytes <- stats.global_write_bytes + 8;
-              stats.flops <- stats.flops +. flops;
-              touched := true
+              stats.flops <- stats.flops +. flops
             end
       | Shared (slot, dims) ->
           let idx_fns = List.map (compile_int st lookup) idxs in
@@ -1411,13 +1363,6 @@ let collect_scalar_slots kernel_name body params =
   walk body;
   (table, !int_slots, !float_slots, !shared_slots)
 
-(* the flags are keyed by PARAMETER names; translate to host array names *)
-let usage_to_host (kernel : kernel) args (read_params, write_params) =
-  let binding = bind_args kernel args in
-  let host p = match List.assoc_opt p binding with Some (Arg_array h) -> Some h | _ -> None in
-  let collect params = List.filter_map host params |> List.sort_uniq compare in
-  (collect read_params, collect write_params)
-
 (* ------------------------------------------------------------------ *)
 (* Execution backends                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -1434,18 +1379,11 @@ let backend_name = function
   | Affine -> "affine"
   | Vector -> "vector"
 
-let backend_of_string = function
-  | "auto" -> Some Auto
-  | "interp" -> Some Interpret
-  | "affine" -> Some Affine
-  | "vector" -> Some Vector
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Block-range chunking policy                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* test hook: force a chunk count so the ordered-merge path can be
+(* test hook: force a chunk count so the chunk-merge path can be
    exercised deterministically even on a single-core host (where the
    adaptive policy below always picks 1) *)
 let chunk_override : int option ref = ref None
@@ -1467,13 +1405,16 @@ let chunks_for ~jobs ~workers ~blocks =
 (* Blocks are independent in the executed subset (no inter-block sync or
    atomics; kft_verify additionally proves per-thread write disjointness
    for verified kernels), so the grid loop fans out over the engine's
-   domain pool in contiguous chunks of the linearized block range. Every
-   per-block [stats] delta is recorded, then merged in block-index order
-   whatever the chunking, so stats and memory are bit-identical at any
-   jobs setting. Kernels with cross-block write overlap are undefined
-   behaviour in CUDA itself; for those the sequential path keeps the
-   last-writer-in-block-order result while parallel chunks may differ. *)
-let launch_ext ?engine ?(backend = Affine) ?trace mem prog (l : launch) =
+   domain pool in contiguous chunks of the linearized block range. Each
+   chunk counts into its own [stats] and the chunks are summed in chunk
+   order. Every counter is an int, and every flop addend is
+   [float_of_int] of a static count, so each partial sum is an exactly
+   represented integer: the total does not depend on the chunking, and
+   stats and memory are bit-identical at any jobs setting. Kernels with
+   cross-block write overlap are undefined behaviour in CUDA itself; for
+   those the sequential path keeps the last-writer-in-block-order result
+   while parallel chunks may differ. *)
+let launch ?engine ?(backend = Affine) ?trace mem prog (l : launch) =
   Trace.with_span trace ("launch:" ^ l.l_kernel) @@ fun () ->
   let affine = backend <> Interpret in
   let kernel = find_kernel prog l.l_kernel in
@@ -1528,13 +1469,9 @@ let launch_ext ?engine ?(backend = Affine) ?trace mem prog (l : launch) =
   let txs = Array.init nthreads (fun t -> t mod bx)
   and tys = Array.init nthreads (fun t -> t / bx mod by)
   and tzs = Array.init nthreads (fun t -> t / (bx * by)) in
-  let per_block =
-    Array.init blocks (fun _ -> zero_stats ~shared_bytes_per_block:shared_bytes ~blocks_launched:1)
-  in
   (* Each chunk compiles against its own state (closures capture the
-     register files), walks its contiguous block range and returns the
-     parameter names it observed reading/writing. [table] and [body] are
-     shared read-only. *)
+     register files), walks its contiguous block range and returns its
+     own counters. [table] and [body] are shared read-only. *)
   let run_chunk (b_lo, b_hi) =
     let st =
       {
@@ -1550,8 +1487,6 @@ let launch_ext ?engine ?(backend = Affine) ?trace mem prog (l : launch) =
         stats = zero_stats ~shared_bytes_per_block:shared_bytes ~blocks_launched:1;
         has_return;
         fast = affine;
-        read_flags = Hashtbl.create 8;
-        write_flags = Hashtbl.create 8;
         acc = { v = 0.0 };
         flacc = { v = 0.0 };
       }
@@ -1564,22 +1499,17 @@ let launch_ext ?engine ?(backend = Affine) ?trace mem prog (l : launch) =
     let compiled = compile_stmts st lookup body in
     let stats = st.stats in
     for b = b_lo to b_hi do
-      let base = copy_stats stats in
       st.bix <- b mod gx;
       st.biy <- b / gx mod gy;
       st.biz <- b / (gx * gy);
       if has_return then Array.fill st.alive 0 nthreads true;
       Array.iter (fun a -> Array.fill a 0 (Array.length a) 0.0) st.shmem;
       exec_lockstep st compiled;
-      Array.iter (fun alive -> if alive then stats.threads_active <- stats.threads_active + 1) st.alive;
-      (* fold the fast path's unboxed flop accumulator into the stats
-         record once per block — [base] saw the previous block's fold, so
-         the delta below is exactly this block's contribution *)
-      if st.fast then stats.flops <- st.flacc.v;
-      per_block.(b) <- diff_stats stats base
+      Array.iter (fun alive -> if alive then stats.threads_active <- stats.threads_active + 1) st.alive
     done;
-    let observed tbl = Hashtbl.fold (fun p r acc -> if !r then p :: acc else acc) tbl [] in
-    (observed st.read_flags, observed st.write_flags)
+    (* the fast path counts flops in the unboxed [flacc] only *)
+    if st.fast then stats.flops <- st.flacc.v;
+    stats
   in
   let jobs = match engine with Some e -> Engine.jobs e | None -> 1 in
   let workers = match engine with Some e -> Engine.workers e | None -> 1 in
@@ -1592,15 +1522,15 @@ let launch_ext ?engine ?(backend = Affine) ?trace mem prog (l : launch) =
     List.init nchunks (fun c ->
         (c * blocks / nchunks, ((c + 1) * blocks / nchunks) - 1))
   in
-  let usages =
+  let chunk_stats =
     match engine with
     | Some e when nchunks > 1 -> Engine.map e run_chunk ranges
     | _ -> List.map run_chunk ranges
   in
-  (* deterministic merge: block-index order, independent of chunking *)
+  (* exact sums (see above), taken in chunk order *)
   let stats = zero_stats ~shared_bytes_per_block:shared_bytes ~blocks_launched:blocks in
   stats.threads_launched <- nthreads * blocks;
-  Array.iter
+  List.iter
     (fun b ->
       stats.global_read_bytes <- stats.global_read_bytes + b.global_read_bytes;
       stats.global_write_bytes <- stats.global_write_bytes + b.global_write_bytes;
@@ -1609,8 +1539,7 @@ let launch_ext ?engine ?(backend = Affine) ?trace mem prog (l : launch) =
       stats.divergent_warp_cond_evals <-
         stats.divergent_warp_cond_evals + b.divergent_warp_cond_evals;
       stats.threads_active <- stats.threads_active + b.threads_active)
-    per_block;
-  let reads = List.concat_map fst usages and writes = List.concat_map snd usages in
+    chunk_stats;
   (* per-launch trace record: block/byte totals are pure functions of the
      launch (canonical channel); the chunk split varies with the worker
      count and stays in the side channel *)
@@ -1620,12 +1549,7 @@ let launch_ext ?engine ?(backend = Affine) ?trace mem prog (l : launch) =
   Trace.add trace "write_bytes" stats.global_write_bytes;
   Trace.set trace "backend" (Trace.Str (if affine then "affine" else "interp"));
   Trace.note trace "chunks" (Trace.Int nchunks);
-  (stats, usage_to_host kernel l.l_args (List.sort_uniq compare reads, List.sort_uniq compare writes))
-
-let launch ?engine ?backend ?trace mem prog l =
-  fst (launch_ext ?engine ?backend ?trace mem prog l)
-
-let launch_with_usage = launch_ext
+  stats
 
 let run_schedule ?engine ?backend ?trace mem prog =
   List.filter_map

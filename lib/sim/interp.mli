@@ -52,18 +52,15 @@ type backend =
 (** Execution backend selection. There are two execution paths, the
     [Interpret] reference oracle and the compiled [Affine] path; [Auto]
     and [Vector] are accepted names that run the [Affine] path. Both
-    paths produce bit-identical memory, statistics and usage — backend
-    choice is purely a performance decision. *)
+    paths produce bit-identical memory and statistics — backend choice
+    is purely a performance decision. *)
 
 val backend_name : backend -> string
 (** ["auto"] / ["interp"] / ["affine"] / ["vector"]. *)
 
-val backend_of_string : string -> backend option
-(** Inverse of {!backend_name} (the CLI flag values). *)
-
 val chunk_override : int option ref
 (** Test hook: force the block-range chunk count, bypassing the
-    adaptive serial-fallback policy, so the ordered-merge path can be
+    adaptive serial-fallback policy, so the chunk-merge path can be
     exercised deterministically on single-core hosts. Reset to [None]
     after use. *)
 
@@ -84,8 +81,9 @@ val launch :
     [engine] fans the grid's linearized block range out over the
     engine's domain pool in contiguous chunks (blocks are independent:
     the subset has no inter-block synchronization, and kft_verify proves
-    per-thread write disjointness for verified kernels). Per-block stats
-    deltas are merged in block-index order whatever the chunking, so
+    per-thread write disjointness for verified kernels). Each chunk
+    counts into its own stats and the coordinator sums them in chunk
+    order; every counter is integer-valued, so the sums are exact and
     stats and final memory are bit-identical at any jobs setting —
     including sequential (no engine, the default). A failing launch
     raises the same [Sim_error] (that of the lowest failing block) in
@@ -101,17 +99,6 @@ val launch :
     (["affine"] or ["interp"]) in the canonical channel, and the
     block-chunk split in the side channel (see {!Kft_trace.Trace}). The
     trace is only touched from the calling (coordinator) domain. *)
-
-val launch_with_usage :
-  ?engine:Kft_engine.Engine.t -> ?backend:backend ->
-  ?trace:Kft_trace.Trace.t ->
-  Memory.t -> Kft_cuda.Ast.program -> Kft_cuda.Ast.launch ->
-  stats * (string list * string list)
-(** Like {!launch}, additionally returning the host arrays the launch
-    dynamically (actually) read and wrote. This is the "pre-run to
-    detect the data usage pattern" the paper proposes as the practical
-    answer to pointer aliasing (Section 7): a dynamic ground truth to
-    validate the static dependence analysis against. *)
 
 val run_schedule :
   ?engine:Kft_engine.Engine.t -> ?backend:backend ->

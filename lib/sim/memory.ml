@@ -11,8 +11,6 @@ type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
 
 let alloc_buf n : buf = A1.create Bigarray.Float64 Bigarray.C_layout n
 
-let empty_buf : buf = alloc_buf 0
-
 type entry = { data : buf; edims : int list }
 
 (* One contiguous arena per memory; every entry is a zero-copy
@@ -35,7 +33,7 @@ exception Unknown_array of string
 
 module Pool = struct
   type stats = {
-    requests : int;  (** arena acquisitions: create + copy + restore *)
+    requests : int;  (** arena acquisitions: create + restore *)
     hits : int;  (** served by recycling a released arena *)
     misses : int;  (** served by a fresh allocation *)
     cells_requested : int;  (** total cells across all requests *)
@@ -207,12 +205,6 @@ let dims t name = (find t name).edims
 let mem t name = Hashtbl.mem t.tbl name
 
 let names t = Array.to_list (Array.map (fun (n, _, _) -> n) t.directory)
-
-let copy t =
-  if t.released then invalid_arg "Memory.copy: use after release";
-  let arena = Pool.acquire t.total in
-  A1.blit (A1.sub t.arena 0 t.total) (A1.sub arena 0 t.total);
-  of_arena arena t.total t.directory
 
 let release t =
   if t.released then invalid_arg "Memory.release: memory already released";

@@ -10,7 +10,7 @@
     The off-heap representation buys three things with zero behavioural
     change (float64 Bigarray cells are the same IEEE-754 doubles as
     [float array] cells): the GC never scans grid payloads,
-    {!snapshot} / {!restore} / {!copy} are single [Array1.blit]s
+    {!snapshot} / {!restore} are single [Array1.blit]s
     (memcpy), and arenas are recycled through {!Pool} across the GGA's
     thousands of fitness simulations. *)
 
@@ -18,12 +18,6 @@ type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Backing store of one array: a zero-copy sub-view of the memory's
     arena. Element [i] is read as [b.{i}] (or [Array1.unsafe_get] on
     proved paths). *)
-
-val empty_buf : buf
-(** A zero-length buffer, for placeholder bindings. *)
-
-val alloc_buf : int -> buf
-(** A fresh (non-pooled, uninitialized) buffer of [n] cells. *)
 
 type t
 
@@ -57,13 +51,9 @@ val mem : t -> string -> bool
 
 val names : t -> string list
 
-val copy : t -> t
-(** An independent memory with the same contents: one pooled arena
-    acquisition plus one blit. *)
-
 val release : t -> unit
 (** Return the memory's arena to {!Pool} for recycling. The memory must
-    not be used afterwards ({!get} / {!copy} / {!snapshot} raise
+    not be used afterwards ({!get} / {!snapshot} raise
     [Invalid_argument]); releasing twice raises [Invalid_argument].
     Releasing is optional — an unreleased memory is reclaimed by the GC
     like before, its arena simply bypasses the pool. *)
@@ -99,7 +89,7 @@ val equal_within : tol:float -> t -> t -> bool
     smallest-fit over a bounded free list of released arenas. *)
 module Pool : sig
   type stats = {
-    requests : int;  (** arena acquisitions: create + copy + restore *)
+    requests : int;  (** arena acquisitions: create + restore *)
     hits : int;  (** served by recycling a released arena *)
     misses : int;  (** served by a fresh allocation *)
     cells_requested : int;  (** total cells across all requests *)

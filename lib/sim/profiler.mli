@@ -28,13 +28,6 @@ val profile :
     backends are bit-identical — only how fast it is produced).
     [trace] records one span per launch. *)
 
-val profile_with_memory :
-  ?engine:Kft_engine.Engine.t -> ?backend:Interp.backend ->
-  ?trace:Kft_trace.Trace.t ->
-  Kft_device.Device.t -> Memory.t -> Kft_cuda.Ast.program -> run
-(** Run against caller-provided memory (mutated in place); used to
-    compare two program versions from identical initial state. *)
-
 val compare :
   tol:float -> Memory.t -> Memory.t -> (unit, (string * float) list) result
 (** Compare the arrays common to both memories (an array present on

@@ -15,10 +15,12 @@ type breakdown = {
   effective_bandwidth_gbs : float;
 }
 
+(* occupancy at which effective bandwidth reaches peak *)
 let bandwidth_saturation_occupancy = 0.45
 
 (* each divergent warp-level conditional evaluation wastes roughly two
-   32-lane transactions' worth of memory slots *)
+   32-lane transactions' worth of memory slots; finer-grained guard
+   placement (the automated codegen of Figure 7) multiplies these *)
 let divergent_eval_cost_bytes = 256.0
 
 let divergence_compute_penalty = 1.0

@@ -35,14 +35,4 @@ type breakdown = {
   effective_bandwidth_gbs : float;  (** achieved bytes / runtime *)
 }
 
-val bandwidth_saturation_occupancy : float
-(** Occupancy at which effective bandwidth reaches peak (0.45). *)
-
-val divergent_eval_cost_bytes : float
-(** Memory-slot cost (bytes) charged per divergent warp-level
-    conditional evaluation: finer-grained guard placement (the automated
-    codegen of Figure 7) multiplies these evaluations. *)
-
-val divergence_compute_penalty : float
-
 val evaluate : input -> breakdown

@@ -138,6 +138,7 @@ let fatal_failure ~launches r =
   | _, true -> Some (defects ())
   | _, false -> Some (defects () ^ " and is incomplete: " ^ unchecked ())
 
+(* walker events per walked launch *)
 let default_budget = 10_000_000
 
 (* ------------------------------------------------------------------ *)
@@ -1143,11 +1144,6 @@ let verify_launch_into ?(walk = false) col prog (l : launch) =
                 ~check_bounds:(not bounds_proved) ~check_races:(walk || not races_proved)
         then col.launches <- col.launches + 1
       end
-
-let verify_launch ?(budget = default_budget) prog l =
-  let col = new_collector budget in
-  verify_launch_into col prog l;
-  report_of col
 
 let verify_schedule ?walk col prog =
   List.iter (function Launch l -> verify_launch_into ?walk col prog l | _ -> ()) prog.p_schedule

@@ -68,8 +68,6 @@
 
 type pass = Race | Barrier | Bounds | Translation | Schedule | Engine
 
-val pass_name : pass -> string
-
 type diagnostic = {
   d_kernel : string;  (** kernel the defect was found in *)
   d_pass : pass;
@@ -139,16 +137,9 @@ val fatal_failure : launches:int -> report -> string option
     count of launches left unchecked. [None] when the report is clean and
     complete. *)
 
-val default_budget : int
-(** Walker events per walked launch (10 M). *)
-
-val verify_launch :
-  ?budget:int -> Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> report
-(** Passes 1–3 over one launch of the program's schedule.  [budget]
-    bounds the walker's events per launch. *)
-
 val verify_program : ?budget:int -> ?walk:bool -> Kft_cuda.Ast.program -> report
-(** Passes 1–3 over every launch of the schedule.  [~walk:true] also
+(** Passes 1–3 over every launch of the schedule.  [budget] bounds the
+    walker's events per walked launch (default 10 M).  [~walk:true] also
     runs the sampled walker's race checks on launches the proof covered
     (the differential check of the proof against the walker). *)
 

@@ -196,24 +196,6 @@ let test_transform_verify_modes () =
   let rc_fatal, _, _ = transform (quickstart_args [| "-q"; "--verify"; "fatal" |]) in
   Alcotest.(check int) "--verify fatal passes on a clean program" 0 rc_fatal
 
-(* --backend only changes how fast the simulator runs: the reference
-   interpreter and the default compiled path give byte-identical
-   transformed programs; an unknown name is a usage error *)
-let test_transform_backend () =
-  with_tmp_files 2 @@ fun files ->
-  let f_default, f_interp = match files with [ a; b ] -> (a, b) | _ -> assert false in
-  let rc_d, _, _ = transform (quickstart_args [| "-q"; "--emit-cuda"; f_default |]) in
-  let rc_i, _, _ =
-    transform (quickstart_args [| "-q"; "--backend"; "interp"; "--emit-cuda"; f_interp |])
-  in
-  Alcotest.(check int) "default backend exit 0" 0 rc_d;
-  Alcotest.(check int) "--backend interp exit 0" 0 rc_i;
-  Alcotest.(check string) "emitted CUDA byte-identical" (Util.read_file f_default)
-    (Util.read_file f_interp);
-  let rc, _, err = transform (quickstart_args [| "-q"; "--backend"; "cuda" |]) in
-  Alcotest.(check bool) "unknown backend fails" true (rc <> 0);
-  Alcotest.(check bool) "names the unknown backend" true (Util.contains err "unknown backend")
-
 let cli_suite =
   [
     Alcotest.test_case "lint --json emits valid JSON" `Quick test_lint_json;
@@ -236,7 +218,6 @@ let cli_suite =
     Alcotest.test_case "transform --trace/--trace-chrome deterministic" `Slow
       test_transform_traced;
     Alcotest.test_case "transform --verify off/fatal" `Slow test_transform_verify_modes;
-    Alcotest.test_case "transform --backend" `Slow test_transform_backend;
   ]
 
 let () =

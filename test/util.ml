@@ -95,67 +95,9 @@ let run_to_memory ?(seed = 42) prog =
   ignore (Kft_sim.Interp.run_schedule mem prog);
   mem
 
-(* The three-kernel program of examples/quickstart.ml (same source text
-   as tools/verify_all.ml), used by the absint and lint tests. *)
-let quickstart_source =
-  {|
-__global__ void diffuse(const double *U, double *V, int nx, int ny, int nz, double c) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i >= 1 && i < nx - 1 && j >= 1 && j < ny - 1) {
-    for (int k = 1; k < nz - 1; k++) {
-      V[(k * ny + j) * nx + i] = c * (U[(k * ny + j) * nx + i + 1] + U[(k * ny + j) * nx + i - 1]
-        + U[(k * ny + (j + 1)) * nx + i] + U[(k * ny + (j - 1)) * nx + i]
-        + U[((k + 1) * ny + j) * nx + i] + U[((k - 1) * ny + j) * nx + i]
-        - 6.0 * U[(k * ny + j) * nx + i]);
-    }
-  }
-}
-__global__ void smooth(const double *V, const double *U, double *W, int nx, int ny, int nz, double c) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i >= 2 && i < nx - 2 && j >= 2 && j < ny - 2) {
-    for (int k = 2; k < nz - 2; k++) {
-      W[(k * ny + j) * nx + i] = 0.25 * (V[(k * ny + j) * nx + i + 1] + V[(k * ny + j) * nx + i - 1]
-        + V[(k * ny + (j + 1)) * nx + i] + V[(k * ny + (j - 1)) * nx + i])
-        + c * U[(k * ny + j) * nx + i];
-    }
-  }
-}
-__global__ void relax(const double *W, double *U2, int nx, int ny, int nz, double c) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i < nx && j < ny) {
-    for (int k = 0; k < nz; k++) {
-      U2[(k * ny + j) * nx + i] = c * W[(k * ny + j) * nx + i];
-    }
-  }
-}
-|}
-
-let quickstart_program () =
-  let nx, ny, nz = (64, 16, 12) in
-  let kernels = Kft_cuda.Parse.kernels quickstart_source in
-  let launch kernel args =
-    Launch
-      {
-        l_kernel = kernel;
-        l_domain = (nx, ny, 1);
-        l_block = (16, 8, 1);
-        l_args = args @ [ Arg_int nx; Arg_int ny; Arg_int nz; Arg_double 0.1 ];
-      }
-  in
-  {
-    p_name = "quickstart";
-    p_arrays = List.map (arr3 (nx, ny, nz)) [ "U"; "V"; "W"; "U2" ];
-    p_kernels = kernels;
-    p_schedule =
-      [
-        launch "diffuse" [ Arg_array "U"; Arg_array "V" ];
-        launch "smooth" [ Arg_array "V"; Arg_array "U"; Arg_array "W" ];
-        launch "relax" [ Arg_array "W"; Arg_array "U2" ];
-      ];
-  }
+(* The three-kernel program of examples/quickstart.ml, used by the
+   absint, sim and verify tests. *)
+let quickstart_program () = (Kft_apps.Apps.quickstart ()).program
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzzer: random well-formed stencil programs            *)

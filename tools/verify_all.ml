@@ -41,73 +41,6 @@ let check ?(source = false) what (r : V.report) =
       print_endline "    (a source launch fell back to the race walker)"
   end
 
-(* the three-kernel program of examples/quickstart.ml *)
-let quickstart_source =
-  {|
-__global__ void diffuse(const double *U, double *V, int nx, int ny, int nz, double c) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i >= 1 && i < nx - 1 && j >= 1 && j < ny - 1) {
-    for (int k = 1; k < nz - 1; k++) {
-      V[(k * ny + j) * nx + i] = c * (U[(k * ny + j) * nx + i + 1] + U[(k * ny + j) * nx + i - 1]
-        + U[(k * ny + (j + 1)) * nx + i] + U[(k * ny + (j - 1)) * nx + i]
-        + U[((k + 1) * ny + j) * nx + i] + U[((k - 1) * ny + j) * nx + i]
-        - 6.0 * U[(k * ny + j) * nx + i]);
-    }
-  }
-}
-__global__ void smooth(const double *V, const double *U, double *W, int nx, int ny, int nz, double c) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i >= 2 && i < nx - 2 && j >= 2 && j < ny - 2) {
-    for (int k = 2; k < nz - 2; k++) {
-      W[(k * ny + j) * nx + i] = 0.25 * (V[(k * ny + j) * nx + i + 1] + V[(k * ny + j) * nx + i - 1]
-        + V[(k * ny + (j + 1)) * nx + i] + V[(k * ny + (j - 1)) * nx + i])
-        + c * U[(k * ny + j) * nx + i];
-    }
-  }
-}
-__global__ void relax(const double *W, double *U2, int nx, int ny, int nz, double c) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i < nx && j < ny) {
-    for (int k = 0; k < nz; k++) {
-      U2[(k * ny + j) * nx + i] = c * W[(k * ny + j) * nx + i];
-    }
-  }
-}
-|}
-
-let quickstart_program () =
-  let open Kft_cuda.Ast in
-  let nx, ny, nz = (64, 16, 12) in
-  let kernels = Kft_cuda.Parse.kernels quickstart_source in
-  let arrays =
-    List.map
-      (fun a -> { a_name = a; a_elem_ty = Double; a_dims = [ nx; ny; nz ] })
-      [ "U"; "V"; "W"; "U2" ]
-  in
-  let launch kernel args =
-    Launch
-      {
-        l_kernel = kernel;
-        l_domain = (nx, ny, 1);
-        l_block = (16, 8, 1);
-        l_args = args @ [ Arg_int nx; Arg_int ny; Arg_int nz; Arg_double 0.1 ];
-      }
-  in
-  {
-    p_name = "quickstart";
-    p_arrays = arrays;
-    p_kernels = kernels;
-    p_schedule =
-      [
-        launch "diffuse" [ Arg_array "U"; Arg_array "V" ];
-        launch "smooth" [ Arg_array "V"; Arg_array "U"; Arg_array "W" ];
-        launch "relax" [ Arg_array "W"; Arg_array "U2" ];
-      ];
-  }
-
 let small_config =
   {
     F.default_config with
@@ -116,7 +49,7 @@ let small_config =
   }
 
 let () =
-  check ~source:true "examples/quickstart" (V.verify_program (quickstart_program ()));
+  check ~source:true "examples/quickstart" (V.verify_program (Kft_apps.Apps.quickstart ()).program);
   let apps = Kft_apps.Apps.all () in
   List.iter
     (fun (a : Kft_apps.Apps.app) ->
